@@ -199,7 +199,7 @@ class _ForecastPipeline:
         self.pool_hist = {}     # day -> (n_var, 24)
         self.primary_hist = {}  # day -> (24,)
         self._contexts = None
-        self._days_since_calib = None
+        self._calib_day = None
 
     def advance_point(self, d: int) -> None:
         pool, failures = _stage(
@@ -214,21 +214,18 @@ class _ForecastPipeline:
         self.primary_hist[d] = pool.variant(self.config.point_window)
 
     def contexts_for(self, d: int) -> dict:
-        due = (
-            self._contexts is None
-            or self._days_since_calib + 1 >= self.config.recalibrate_every
-        )
-        if not due:
-            self._days_since_calib += 1
+        """Model contexts for day d, calibrated on the window of the last day
+        on the schedule that recalibrates every `recalibrate_every` days from
+        the first forecast day, whichever day the caller starts at."""
+        calib_day = d - (d - self.config.first_forecast_day) % self.config.recalibrate_every
+        if calib_day == self._calib_day:
             return self._contexts
-        window_days = range(d - self.config.prob_window, d)
+        window_days = range(calib_day - self.config.prob_window, calib_day)
         residuals = np.concatenate([
             self.series.prices[t] - self.primary_hist[t] for t in window_days
         ])
         pool_X = np.vstack([self.pool_hist[t].T for t in window_days])
-        realized = self.series.prices[
-            d - self.config.prob_window : d
-        ].reshape(-1)
+        realized = self.series.prices[window_days.start : calib_day].reshape(-1)
         inputs = CalibrationInputs(
             errors=ErrorSample(residuals),
             pool=pool_X,
@@ -240,7 +237,7 @@ class _ForecastPipeline:
             inputs.contexts = contexts
             contexts[tag] = _stage(d, f"calibrate:{tag}", get_calibrator(tag), inputs)
         self._contexts = contexts
-        self._days_since_calib = 0
+        self._calib_day = calib_day
         return contexts
 
     def forecast_day(self, d: int) -> tuple[dict, dict]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +24,6 @@ DEFAULT_SCHEMA = {
 }
 
 REGIMES = ("low", "high", "spiky")
-
-
-@dataclass(frozen=True)
-class HourlyRecord:
-    """One raw observation: price and load forecast for (day, hour)."""
-
-    day_index: int
-    hour: int
-    price: float
-    load_forecast: float
-
-    def __post_init__(self):
-        if not 1 <= self.hour <= 24:
-            raise ValueError(f"hour must be in 1..24, got {self.hour}")
-        if self.load_forecast < 0:
-            raise ValueError(f"load_forecast must be >= 0, got {self.load_forecast}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,18 @@ Each hour gets its own linear regression on lagged prices, previous-day
 extremes, the end-of-day price, the load forecast and seven weekday dummies
 (14 coefficients; the dummies span the intercept).  A pool of variants is
 produced by calibrating the same model on several window lengths.
+
+`calibrate` fits one hour on one window with `lstsq`; with `predict_day` it is
+the reference for `forecast_pool`, which fits all 24 hours of every pool
+window together.  All pool windows end the day before the forecast day, so
+`forecast_pool` builds the (24, days, 14) design tensor of the longest window
+once and each window is a suffix of its rows.  A stacked QR of [X | y] gives
+each window's R and Q'y for all 24 hours at once (the QR of a window updates
+the R of the next shorter one with the rows it lacks).  The singular values
+of R are those of X and set the rank by lstsq's rule, s > eps * max(m, 14) *
+s_max for m usable days.  Full-rank hours are solved from R; rank-deficient
+ones take `calibrate`'s column-proportional ridge.  Hour 24 is always rank
+deficient, since its y_lag1 and y_eod are the same price.
 """
 from __future__ import annotations
 
@@ -124,21 +136,29 @@ def build_features(series: MarketSeries, d: int, h: int) -> ExpertFeatures:
     )
 
 
-def _design(series: MarketSeries, days: np.ndarray, h: int) -> np.ndarray:
-    """Vectorized feature matrix for an array of days (all must be >= 7)."""
+def _design_tensor(series: MarketSeries, days: np.ndarray, with_target: bool = False) -> np.ndarray:
+    """(24, days, 14) feature tensor: entry [h - 1, i] holds the regressors of
+    (days[i], h).  Every day must be >= 7.  `with_target` appends the price
+    being regressed, that of (days[i], h), as a 15th column."""
     p = series.prices
-    X = np.empty((days.size, N_COEFFICIENTS))
-    X[:, 0] = p[days - 1, h - 1]
-    X[:, 1] = p[days - 2, h - 1]
-    X[:, 2] = p[days - 7, h - 1]
-    X[:, 3] = p[days - 1, 23]
-    X[:, 4] = p[days - 1].max(axis=1)
-    X[:, 5] = p[days - 1].min(axis=1)
-    X[:, 6] = series.loads[days, h - 1]
-    X[:, 7:] = 0.0
-    wd = np.asarray(series.weekday(days)) - 1
-    X[np.arange(days.size), 7 + wd] = 1.0
+    prev = p[days - 1]
+    X = np.zeros((24, days.size, N_COEFFICIENTS + with_target))
+    X[:, :, 0] = prev.T
+    X[:, :, 1] = p[days - 2].T
+    X[:, :, 2] = p[days - 7].T
+    X[:, :, 3] = prev[:, 23]
+    X[:, :, 4] = prev.max(axis=1)
+    X[:, :, 5] = prev.min(axis=1)
+    X[:, :, 6] = series.loads[days].T
+    X[:, np.arange(days.size), 6 + np.asarray(series.weekday(days))] = 1.0
+    if with_target:
+        X[:, :, N_COEFFICIENTS] = p[days].T
     return X
+
+
+def _design(series: MarketSeries, days: np.ndarray, h: int) -> np.ndarray:
+    """Vectorized feature matrix of hour h for an array of days (all must be >= 7)."""
+    return _design_tensor(series, days)[h - 1]
 
 
 def calibrate(win: WindowView, h: int) -> ExpertModelParams:
@@ -190,7 +210,9 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
     """Point forecasts for day d from the model calibrated on each window length.
 
     Returns (PointForecastSet, failures) where failures maps a dropped window
-    length to the error that removed it.
+    length to the error that removed it.  Each window's forecasts equal those
+    of `calibrate` and `predict_day` up to rounding; see the module docstring
+    for how the 24 hourly fits of all windows are solved together.
     """
     window_lengths = tuple(window_lengths)
     if not window_lengths:
@@ -199,21 +221,89 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
         raise InsufficientDataError(
             f"day {d} precedes the longest calibration window ({max(window_lengths)})"
         )
-    rows, kept, failures = [], [], {}
-    for length in window_lengths:
-        try:
-            win = window(series, d - 1, length)
-            params = [calibrate(win, h) for h in range(1, 25)]
-            rows.append(predict_day(series, d, params))
-            kept.append(length)
-        except (CalibrationError, InsufficientDataError) as exc:
-            failures[length] = exc
-    if not rows:
+    first = max(d - max(window_lengths), FEATURE_LAG)
+    Xy = _design_tensor(series, np.arange(first, d), with_target=True)
+    n_rows = Xy.shape[1]
+
+    failures, starts = {}, {}
+    for i, length in enumerate(window_lengths):
+        start = max(window(series, d - 1, length).first_day, FEATURE_LAG) - first
+        if n_rows - start < MIN_CALIBRATION_DAYS:
+            failures[length] = InsufficientDataError(
+                f"{n_rows - start} usable days in window; need >= {MIN_CALIBRATION_DAYS}"
+            )
+        else:
+            starts[i] = start
+    if not starts:
         raise CalibrationError(f"day {d}: every pool variant failed: {failures}")
-    return (
-        PointForecastSet(day=d, window_lengths=tuple(kept), values=np.vstack(rows)),
-        failures,
-    )
+
+    n = N_COEFFICIENTS
+    factors = _r_factors(Xy, set(starts.values()))
+    R = np.stack([factors[s] for s in starts.values()])  # (variants, 24, 15, 15)
+    sv = np.linalg.svd(R[..., :n, :n], compute_uv=False)
+    rows = n_rows - np.fromiter(starts.values(), dtype=int)
+    tol = np.finfo(float).eps * np.maximum(rows, n)[:, None] * sv[..., 0]
+    full = (sv > tol[..., None]).all(axis=-1)
+    beta = np.empty(R.shape[:2] + (n,))
+    beta[full] = np.linalg.solve(R[full][:, :n, :n], R[full][:, :n, n:])[..., 0]
+
+    kept, fitted = [], []
+    for j, (i, start) in enumerate(starts.items()):
+        try:
+            deficient = np.flatnonzero(~full[j])
+            if deficient.size:
+                beta[j, deficient] = _ridge(Xy[deficient, start:], deficient + 1)
+            finite = np.isfinite(beta[j]).all(axis=1)
+            if not finite.all():
+                raise CalibrationError(f"hour {np.argmin(finite) + 1}: non-finite coefficients")
+        except CalibrationError as exc:
+            failures[window_lengths[i]] = exc
+            continue
+        kept.append(window_lengths[i])
+        fitted.append(j)
+    if not kept:
+        raise CalibrationError(f"day {d}: every pool variant failed: {failures}")
+    x_day = _design_tensor(series, np.array([d]))[:, 0]
+    values = np.einsum("vhk,hk->vh", beta[fitted], x_day)
+    return PointForecastSet(day=d, window_lengths=tuple(kept), values=values), failures
+
+
+def _r_factors(Xy: np.ndarray, starts) -> dict:
+    """R factor of the stacked QR of Xy[:, s:] for each start row s.
+
+    The row blocks are nested suffixes, so the factor for each start is the
+    QR of the next shorter block's R stacked on the rows that block lacks.
+    """
+    factors, R, end = {}, Xy[:, :0], Xy.shape[1]
+    for s in sorted(starts, reverse=True):
+        R = np.linalg.qr(np.concatenate((R, Xy[:, s:end]), axis=1), mode="r")
+        factors[s], end = R, s
+    return factors
+
+
+def _ridge(Xy: np.ndarray, hours: np.ndarray) -> np.ndarray:
+    """`calibrate`'s ridge fallback for a stack of rank-deficient hours.
+
+    Xy is (k, rows, 15): the design of each listed hour with its target as
+    the last column.  Returns the (k, 14) coefficients.
+    """
+    n = N_COEFFICIENTS
+    G = np.matmul(Xy.transpose(0, 2, 1), Xy)
+    gram, rhs = G[:, :n, :n], G[:, :n, n]
+    col_sq = np.diagonal(gram, axis1=1, axis2=2).copy()
+    usable = (col_sq > 0).any(axis=1) & np.isfinite(col_sq).all(axis=1)
+    if not usable.all():
+        raise CalibrationError(
+            f"hour {hours[np.argmin(usable)]}: design matrix degenerate beyond repair"
+        )
+    floor = np.where(col_sq > 0, col_sq, np.inf).min(axis=1, keepdims=True)
+    col_sq = np.where(col_sq > 0, col_sq, floor)
+    try:
+        return np.linalg.solve(
+            gram + _RIDGE_EPS * col_sq[:, :, None] * np.eye(n), rhs[:, :, None]
+        )[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise CalibrationError(f"hours {hours.tolist()}: ridge fallback failed") from exc
 
 
 def dump_coefficients(path, fitted, delimiter: str = ",") -> None:

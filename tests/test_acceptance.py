@@ -287,6 +287,7 @@ class TestAcceptance:
         _verdict(10, "CP offsets antisymmetric, HS offsets translation-equivariant",
                  failures)
 
+    @pytest.mark.slow
     def test_criterion_08_end_to_end(self, tmp_path):
         failures = []
         series = synth_generate(700, seed=0)

@@ -111,8 +111,14 @@ class TestRunBacktest:
 
 
 class TestRunSingleModel:
-    def test_equivalence_with_single_model_registry(self, small_series, small_config):
-        config = replace(small_config, model_registry=("cp",), alphas=(0.8,))
+    @pytest.mark.parametrize("recalibrate_every", [1, 4])
+    def test_equivalence_with_single_model_registry(
+        self, small_series, small_config, recalibrate_every
+    ):
+        config = replace(
+            small_config, model_registry=("cp",), alphas=(0.8,),
+            recalibrate_every=recalibrate_every,
+        )
         full = run_backtest(small_series, config)
         single = run_single_model(small_series, config, "cp", 0.8)
         for metric in METRICS:

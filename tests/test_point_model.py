@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quantbess.errors import InsufficientDataError
+from quantbess.errors import CalibrationError, InsufficientDataError
 from quantbess.market_data import MarketSeries, synth_generate, window
 from quantbess.point_model import (
     DEFAULT_POOL_WINDOWS,
@@ -218,6 +220,71 @@ class TestForecastPool:
 
     def test_default_pool(self):
         assert DEFAULT_POOL_WINDOWS == (56, 84, 112, 182, 364)
+
+
+def _per_hour_pool(series, d, window_lengths):
+    """forecast_pool's reference: `calibrate` and `predict_day` per window and hour."""
+    rows, kept, failures = [], [], {}
+    for length in window_lengths:
+        try:
+            win = window(series, d - 1, length)
+            params = [calibrate(win, h) for h in range(1, 25)]
+        except (CalibrationError, InsufficientDataError) as exc:
+            failures[length] = exc
+            continue
+        rows.append(predict_day(series, d, params))
+        kept.append(length)
+    return tuple(kept), rows, failures
+
+
+def _assert_pool_matches_per_hour(series, d, window_lengths):
+    kept, rows, failures = _per_hour_pool(series, d, window_lengths)
+    pool, got_failures = forecast_pool(series, d, window_lengths)
+    assert pool.window_lengths == kept
+    assert {k: type(v) for k, v in got_failures.items()} == {
+        k: type(v) for k, v in failures.items()
+    }
+    for got, want in zip(pool.values, rows):
+        # The stacked QR and lstsq's SVD round differently; 1e-10 of the
+        # day's forecast scale allows for designs with condition ~1e7.
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestForecastPoolMatchesPerHourFits:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        regime=st.sampled_from(["low", "high", "spiky"]),
+        seed=st.integers(0, 10_000),
+        offset=st.integers(0, 35),
+        window_lengths=st.sampled_from([DEFAULT_POOL_WINDOWS, (30, 56)]),
+    )
+    def test_synthetic_regimes(self, regime, seed, offset, window_lengths):
+        series = synth_generate(400, seed=seed, regime=regime)
+        _assert_pool_matches_per_hour(series, 364 + offset, window_lengths)
+
+    def test_rank_deficient_every_hour(self):
+        series = _flat_series(400, price=42.0)
+        _assert_pool_matches_per_hour(series, 380, (56, 364))
+
+    def test_zero_noise_series(self):
+        series = _recursive_series(380, _TRUE_BETA, seed=3)
+        _assert_pool_matches_per_hour(series, 375, (56, 112, 364))
+
+    def test_short_window_dropped_as_in_per_hour_fits(self):
+        # Window 25 has 25 usable days; window 45 starts at day 0 and keeps 38.
+        series = synth_generate(60, seed=2)
+        pool, failures = forecast_pool(series, 45, (45, 25))
+        assert pool.window_lengths == (45,)
+        assert isinstance(failures[25], InsufficientDataError)
+        _assert_pool_matches_per_hour(series, 45, (45, 25))
+
+    def test_every_window_failing_raises(self):
+        # Lag trimming leaves 29 usable days in each window.
+        series = synth_generate(60, seed=2)
+        kept, _, failures = _per_hour_pool(series, 36, (36, 30))
+        assert kept == () and set(failures) == {36, 30}
+        with pytest.raises(CalibrationError, match="every pool variant failed"):
+            forecast_pool(series, 36, (36, 30))
 
 
 class TestDump:
