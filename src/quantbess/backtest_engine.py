@@ -15,19 +15,18 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bess_trading, eval_metrics, model_selector, point_model, prob_models
+from . import bess_trading, eval_metrics, point_model, prob_models
 from .bess_trading import BatteryState, StrategyConfig, TradeLedger
 from .errors import BacktestStageError, ConfigError, QuantbessError
-from .eval_metrics import DEFAULT_ALPHAS, METRICS, DailySpScores, TradingHours
+from .eval_metrics import DEFAULT_ALPHAS, METRICS
 from .market_data import MarketSeries
 from .model_selector import COVERAGE_MODES, ScoreStore
 from .point_model import DEFAULT_POOL_WINDOWS, FEATURE_LAG
 from .prob_models import (
-    QUANTILE_GRID,
     CalibrationInputs,
     ErrorSample,
     MEDIAN_INDEX,
@@ -46,7 +45,6 @@ class BacktestConfig:
     alphas: tuple = DEFAULT_ALPHAS
     model_registry: tuple = prob_models.METHODS
     pool_window_lengths: tuple = DEFAULT_POOL_WINDOWS
-    seed: int = 0
     coverage_mode: str = "target"
     forced_sell_mode: str = "before_h2"
     recalibrate_every: int = 1
@@ -125,8 +123,9 @@ class BacktestReport:
     config: BacktestConfig
     n_days: int
     ledgers: dict                      # (metric, alpha) -> TradeLedger
-    selection_log: list                # SelectionOutcome, day = trading day
-    score_rows: list                   # DailySpScores for every (day, model, alpha)
+    store: ScoreStore                  # every forecast day's scores
+    chosen: np.ndarray                 # (trading day, metric, alpha) -> registry index
+    averages: np.ndarray               # (trading day, metric, alpha, model) rolling means
     forecasts: dict | None = None      # day -> {model: (24, 99)} when kept
 
     @property
@@ -149,45 +148,6 @@ def _stage(day, stage, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except QuantbessError as exc:
         raise BacktestStageError(day, stage, exc) from exc
-
-
-def _day_forecast_matrix(ctx, point_vec, pool_day) -> np.ndarray:
-    """(24, 99) monotone quantile matrix for one model and one day."""
-    if ctx.betas is not None:
-        design = np.vstack([np.ones(24), pool_day])        # (n_var + 1, 24)
-        values = (ctx.betas @ design).T                    # (24, 99)
-    else:
-        values = point_vec[:, None] + ctx.offsets[None, :]
-    values = np.sort(values, axis=1)
-    if not np.isfinite(values).all():
-        raise QuantbessError(f"model {ctx.method!r} produced non-finite quantiles")
-    return values
-
-
-def _daily_scores_fast(day, tag, qf, prices, hours, alphas) -> list:
-    """DailySpScores for every alpha, sharing the 24x99 pinball matrix."""
-    diff = prices[:, None] - qf
-    losses = np.where(diff < 0, (QUANTILE_GRID - 1.0) * diff, QUANTILE_GRID * diff)
-    pinball_all = float(losses.mean())
-    i1, i2 = hours.h1 - 1, hours.h2 - 1
-    out = []
-    for alpha in alphas:
-        lo, up = eval_metrics.alpha_quantiles(alpha)
-        lo_i = prob_models.quantile_index(lo)
-        up_i = prob_models.quantile_index(up)
-        buy = float(losses[i1, up_i])
-        sell = float(losses[i2, lo_i])
-        coverage_all = float(np.mean((qf[:, lo_i] <= prices) & (prices <= qf[:, up_i])))
-        coverage_hours = float(
-            prices[i1] < qf[i1, up_i] and prices[i2] > qf[i2, lo_i]
-        )
-        out.append(DailySpScores(
-            day=day, model_id=tag, alpha=alpha,
-            pinball_all=pinball_all, pinball_buysell=0.5 * (buy + sell),
-            pinball_sell=sell, pinball_buy=buy,
-            coverage_all=coverage_all, coverage_hours=coverage_hours,
-        ))
-    return out
 
 
 class _ForecastPipeline:
@@ -240,18 +200,23 @@ class _ForecastPipeline:
         self._calib_day = calib_day
         return contexts
 
-    def forecast_day(self, d: int) -> tuple[dict, dict]:
-        """(quantile matrices, trading hours) per model for day d."""
+    def forecast_day(self, d: int) -> tuple[dict, dict, dict]:
+        """Per model for day d: the (24, 99) quantile matrix, the trading
+        hours and the QuantileForecasts of those two hours."""
         contexts = self.contexts_for(d)
-        matrices, hours = {}, {}
+        matrices, hours, pairs = {}, {}, {}
         for tag in self.config.model_registry:
             qf = _stage(
-                d, f"forecast:{tag}", _day_forecast_matrix,
+                d, f"forecast:{tag}", prob_models.quantile_matrix,
                 contexts[tag], self.primary_hist[d], self.pool_hist[d],
             )
-            matrices[tag] = qf
-            hours[tag] = bess_trading.choose_hours(qf[:, MEDIAN_INDEX])
-        return matrices, hours
+            hrs = bess_trading.choose_hours(qf[:, MEDIAN_INDEX])
+            matrices[tag], hours[tag] = qf, hrs
+            pairs[tag] = (
+                QuantileForecast(day=d, hour=hrs.h1, q_values=qf[hrs.h1 - 1]),
+                QuantileForecast(day=d, hour=hrs.h2, q_values=qf[hrs.h2 - 1]),
+            )
+        return matrices, hours, pairs
 
 
 def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> BacktestReport:
@@ -260,7 +225,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> 
     config.validate(series.n_days)
 
     pipeline = _ForecastPipeline(series, config)
-    store = ScoreStore(config.model_registry, config.alphas)
+    registry = config.model_registry
+    store = ScoreStore(registry, config.alphas, range(config.first_forecast_day, series.n_days))
     keys = [(metric, alpha) for metric in METRICS for alpha in config.alphas]
     ledgers = {key: TradeLedger() for key in keys}
     states = {key: BatteryState(1) for key in keys}
@@ -268,59 +234,55 @@ def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> 
         alpha: StrategyConfig(alpha=alpha, forced_sell_mode=config.forced_sell_mode)
         for alpha in config.alphas
     }
-    selection_log = []
-    score_rows = []
+    chosen_log, averages_log = [], []
     forecasts = {} if config.keep_forecasts else None
 
     for d in range(config.first_point_day, series.n_days):
         pipeline.advance_point(d)
         if d < config.first_forecast_day:
             continue
-        matrices, hours = pipeline.forecast_day(d)
+        matrices, hours, pairs = pipeline.forecast_day(d)
         if forecasts is not None:
             forecasts[d] = dict(matrices)
 
         # Trade day d before its realized prices influence anything.
         if d >= config.first_trading_day:
             prices_d = series.prices[d]
-            for metric, alpha in keys:
-                outcome = _stage(
-                    d, f"select:{metric}", store.select,
-                    metric, alpha, d - 1, config.metric_window, config.coverage_mode,
-                )
-                outcome = replace(outcome, day=d)
-                selection_log.append(outcome)
-                tag = outcome.chosen_model
-                qf, hrs = matrices[tag], hours[tag]
-                qf1 = QuantileForecast(day=d, hour=hrs.h1, q_values=qf[hrs.h1 - 1])
-                qf2 = QuantileForecast(day=d, hour=hrs.h2, q_values=qf[hrs.h2 - 1])
-                state = states[(metric, alpha)]
+            chosen, averages = _stage(
+                d, "select", store.select, d - 1, config.metric_window, config.coverage_mode,
+            )
+            chosen_log.append(chosen)
+            averages_log.append(averages)
+            # keys run metric-major, alpha-minor, as chosen does
+            for key, index in zip(keys, chosen.ravel()):
+                alpha = key[1]
+                tag = registry[index]
+                qf1, qf2 = pairs[tag]
+                state = states[key]
                 orders = _stage(
                     d, "orders", bess_trading.build_orders,
-                    qf1, qf2, state, qf[:, MEDIAN_INDEX], alpha, strategy_cfg[alpha],
+                    qf1, qf2, state, matrices[tag][:, MEDIAN_INDEX], alpha, strategy_cfg[alpha],
                 )
                 entry = _stage(
                     d, "settle", bess_trading.settle,
                     orders, prices_d, state, d, strategy_cfg[alpha],
                 )
-                ledgers[(metric, alpha)].append(entry)
-                states[(metric, alpha)] = BatteryState(entry.end_level)
+                ledgers[key].append(entry)
+                states[key] = BatteryState(entry.end_level)
 
         # Score day d once trading is done.
-        for tag in config.model_registry:
-            rows = _daily_scores_fast(
-                d, tag, matrices[tag], series.prices[d], hours[tag], config.alphas
-            )
-            for scores in rows:
-                store.add_scores(scores)
-            score_rows.extend(rows)
+        for tag in registry:
+            store.add_scores(d, tag, eval_metrics.daily_scores(
+                matrices[tag], series.prices[d], hours[tag], config.alphas
+            ))
 
     return BacktestReport(
         config=config,
         n_days=series.n_days,
         ledgers=ledgers,
-        selection_log=selection_log,
-        score_rows=score_rows,
+        store=store,
+        chosen=np.array(chosen_log),
+        averages=np.array(averages_log),
         forecasts=forecasts,
     )
 
@@ -336,11 +298,10 @@ def run_single_model(
     `model` may also be "benchmark": price-taker orders at the extremes of
     the primary point forecast.
     """
-    config = config or BacktestConfig()
+    config = replace(config or BacktestConfig(), alphas=(alpha,))
     if model != "benchmark":
         config = replace(config, model_registry=(model,))
     config.validate(series.n_days)
-    eval_metrics.alpha_quantiles(alpha)
 
     pipeline = _ForecastPipeline(series, config)
     ledger = TradeLedger()
@@ -354,13 +315,10 @@ def run_single_model(
         if model == "benchmark":
             orders = bess_trading.benchmark_orders(pipeline.primary_hist[d])
         else:
-            matrices, hours = pipeline.forecast_day(d)
-            qf, hrs = matrices[model], hours[model]
-            qf1 = QuantileForecast(day=d, hour=hrs.h1, q_values=qf[hrs.h1 - 1])
-            qf2 = QuantileForecast(day=d, hour=hrs.h2, q_values=qf[hrs.h2 - 1])
+            matrices, _, pairs = pipeline.forecast_day(d)
             orders = _stage(
                 d, "orders", bess_trading.build_orders,
-                qf1, qf2, state, qf[:, MEDIAN_INDEX], alpha, strat,
+                *pairs[model], state, matrices[model][:, MEDIAN_INDEX], alpha, strat,
             )
         entry = _stage(d, "settle", bess_trading.settle, orders, series.prices[d], state, d, strat)
         ledger.append(entry)
@@ -398,25 +356,29 @@ def write_report(report: BacktestReport, outdir) -> list:
     path = os.path.join(outdir, SELECTION_FILE)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        models = report.config.model_registry
+        config = report.config
+        models = config.model_registry
         writer.writerow(["day", "metric", "alpha", "chosen_model",
                          *[f"avg_{m}" for m in models]])
-        for outcome in report.selection_log:
-            writer.writerow([
-                outcome.day, outcome.metric, outcome.alpha, outcome.chosen_model,
-                *[repr(float(outcome.score_table[m])) for m in models],
-            ])
+        for d, chosen, averages in zip(
+            report.trading_days, report.chosen.tolist(), report.averages.tolist()
+        ):
+            for i, metric in enumerate(METRICS):
+                for j, alpha in enumerate(config.alphas):
+                    writer.writerow([d, metric, alpha, models[chosen[i][j]],
+                                     *map(repr, averages[i][j])])
     paths.append(path)
 
     path = os.path.join(outdir, METRICS_FILE)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day", "model_id", "alpha", *METRICS])
-        for row in report.score_rows:
-            writer.writerow([
-                row.day, row.model_id, row.alpha,
-                *[repr(float(row.get(metric))) for metric in METRICS],
-            ])
+        store = report.store
+        # cube [metric, alpha, model, day] -> rows [day][model][alpha]
+        for d, per_model in zip(store.days, store.cube.transpose(3, 2, 1, 0).tolist()):
+            for model, per_alpha in zip(store.registry_order, per_model):
+                for alpha, scores in zip(store.alphas, per_alpha):
+                    writer.writerow([d, model, alpha, *map(repr, scores)])
     paths.append(path)
 
     path = os.path.join(outdir, LEDGERS_FILE)

@@ -44,7 +44,7 @@ def _sha256(path) -> str:
 # ---------------------------------------------------------------------------
 
 _LIST_FIELDS = {"alphas", "model_registry", "pool_window_lengths"}
-_INT_FIELDS = {"point_window", "prob_window", "metric_window", "seed", "recalibrate_every"}
+_INT_FIELDS = {"point_window", "prob_window", "metric_window", "recalibrate_every"}
 _BOOL_FIELDS = {"keep_forecasts"}
 
 
@@ -66,7 +66,7 @@ def read_config_file(path) -> dict:
     return values
 
 
-def build_config(values: dict, seed_override=None) -> BacktestConfig:
+def build_config(values: dict) -> BacktestConfig:
     """Typed BacktestConfig from string key-values; reports all problems at once."""
     kwargs = {}
     problems = []
@@ -98,8 +98,6 @@ def build_config(values: dict, seed_override=None) -> BacktestConfig:
             problems.append(f"config key {key!r}: {exc}")
     if problems:
         raise ConfigError(problems)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
     config = BacktestConfig(**kwargs)
     config.validate()
     return config
@@ -146,7 +144,7 @@ def _resolve_outdir(args) -> str:
 def cmd_backtest(args) -> int:
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     values = read_config_file(args.config) if args.config else {}
-    config = build_config(values, seed_override=args.seed)
+    config = build_config(values)
     series = _load_dataset(args.data)
     config.validate(series.n_days)
 
@@ -156,7 +154,6 @@ def cmd_backtest(args) -> int:
 
     manifest = {
         "tool_version": __version__,
-        "seed": config.seed,
         "created_utc": started,
         "finished_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "dataset_path": os.path.abspath(args.data),
@@ -175,7 +172,7 @@ def cmd_backtest(args) -> int:
 
 def cmd_single(args) -> int:
     values = read_config_file(args.config) if args.config else {}
-    config = build_config(values, seed_override=args.seed)
+    config = build_config(values)
     series = _load_dataset(args.data)
     ledger = backtest_engine.run_single_model(series, config, args.model, args.alpha)
     if args.output:
@@ -262,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--output", default="report",
                    help=f"report directory (overridden by ${REPORT_DIR_ENV})")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("single", help="trade one fixed model (or 'benchmark')")
@@ -270,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="hs")
     p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--output", help="optional ledger CSV path")
     p.set_defaults(func=cmd_single)
 

@@ -1,6 +1,6 @@
 """Pinball loss, coverage indicators and the six daily model-ranking scores.
 
-Ranking scores per (day, model, alpha):
+Ranking scores per (day, model, alpha), in METRICS order:
 
 * pinball_all      -- mean pinball over all 24 hours and 99 quantiles
 * pinball_buysell  -- mean of pinball_buy and pinball_sell
@@ -13,6 +13,7 @@ Ranking scores per (day, model, alpha):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,33 +46,6 @@ class TradingHours:
             raise ValueError("h1 and h2 must differ")
 
 
-@dataclass(frozen=True)
-class DailySpScores:
-    """All six ranking scores for one (day, model, alpha)."""
-
-    day: int
-    model_id: str
-    alpha: float
-    pinball_all: float
-    pinball_buysell: float
-    pinball_sell: float
-    pinball_buy: float
-    coverage_all: float
-    coverage_hours: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.coverage_all <= 1.0:
-            raise ValueError("coverage_all must lie in [0, 1]")
-        if self.coverage_hours not in (0.0, 1.0):
-            raise ValueError("coverage_hours must be 0 or 1")
-        for name in ("pinball_all", "pinball_buysell", "pinball_sell", "pinball_buy"):
-            if getattr(self, name) < -1e-12:
-                raise ValueError(f"{name} must be non-negative")
-
-    def get(self, metric: str) -> float:
-        return getattr(self, metric)
-
-
 def alpha_quantiles(alpha: float) -> tuple[float, float]:
     """The (lower, upper) PI quantiles (1-alpha)/2 and (1+alpha)/2, grid-checked."""
     lo, up = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
@@ -81,6 +55,20 @@ def alpha_quantiles(alpha: float) -> tuple[float, float]:
     quantile_index(lo_r)
     quantile_index(up_r)
     return lo_r, up_r
+
+
+@lru_cache(maxsize=16)
+def _pi_columns(alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Grid columns of the lower and upper PI bounds of each alpha.
+
+    Cached because the backtest asks for the same alphas every model-day,
+    and the grid checks cost more than the scoring itself.
+    """
+    pairs = [alpha_quantiles(alpha) for alpha in alphas]
+    lo_i = np.array([quantile_index(lo) for lo, _ in pairs])
+    up_i = np.array([quantile_index(up) for _, up in pairs])
+    lo_i.flags.writeable = up_i.flags.writeable = False
+    return lo_i, up_i
 
 
 def pinball(q: float, price, forecast_q):
@@ -159,23 +147,37 @@ def sp_coverage_hours(fc_h1, fc_h2, price_h1, price_h2, alpha) -> int:
     return int(price_h1 < fc_h1.value(up) and price_h2 > fc_h2.value(lo))
 
 
-def daily_scores(day, model_id, forecasts, prices, hours: TradingHours, alpha) -> DailySpScores:
-    """All six scores for one model-day at one alpha."""
-    qf = forecast_matrix(forecasts)
+def check_scores(block: np.ndarray) -> None:
+    """Range checks on a (n_alphas, 6) score block; raises ValueError."""
+    block = np.asarray(block, dtype=float)
+    pinballs, coverage_all, coverage_hours = block[:, :4], block[:, 4], block[:, 5]
+    if not np.all((coverage_all >= 0.0) & (coverage_all <= 1.0)):
+        raise ValueError("coverage_all must lie in [0, 1]")
+    if not np.all((coverage_hours == 0.0) | (coverage_hours == 1.0)):
+        raise ValueError("coverage_hours must be 0 or 1")
+    bad = ~np.all(pinballs >= -1e-12, axis=0)
+    if bad.any():
+        raise ValueError(f"{METRICS[int(np.argmax(bad))]} must be non-negative")
+
+
+def daily_scores(qf, prices, hours: TradingHours, alphas) -> np.ndarray:
+    """All six scores of one model-day, one row per alpha, columns in METRICS
+    order; every alpha shares the day's 24 x 99 pinball-loss matrix."""
+    qf = forecast_matrix(qf)
     prices = np.asarray(prices, dtype=float)
-    fc1 = QuantileForecast(day=day, hour=hours.h1, q_values=qf[hours.h1 - 1])
-    fc2 = QuantileForecast(day=day, hour=hours.h2, q_values=qf[hours.h2 - 1])
-    p1, p2 = prices[hours.h1 - 1], prices[hours.h2 - 1]
-    buy = sp_pinball_buy(fc1, p1, alpha)
-    sell = sp_pinball_sell(fc2, p2, alpha)
-    return DailySpScores(
-        day=day,
-        model_id=model_id,
-        alpha=alpha,
-        pinball_all=sp_pinball_all(qf, prices),
-        pinball_buysell=0.5 * (buy + sell),
-        pinball_sell=sell,
-        pinball_buy=buy,
-        coverage_all=sp_coverage_all(qf, prices, alpha),
-        coverage_hours=float(sp_coverage_hours(fc1, fc2, p1, p2, alpha)),
-    )
+    diff = prices[:, None] - qf
+    losses = np.where(diff < 0, (QUANTILE_GRID - 1.0) * diff, QUANTILE_GRID * diff)
+    lo_i, up_i = _pi_columns(tuple(alphas))
+    i1, i2 = hours.h1 - 1, hours.h2 - 1
+    buy = losses[i1, up_i]
+    sell = losses[i2, lo_i]
+    block = np.empty((lo_i.size, len(METRICS)))
+    block[:, 0] = losses.mean()
+    block[:, 1] = 0.5 * (buy + sell)
+    block[:, 2] = sell
+    block[:, 3] = buy
+    lower, upper = qf[:, lo_i], qf[:, up_i]
+    block[:, 4] = ((lower <= prices[:, None]) & (prices[:, None] <= upper)).mean(axis=0)
+    block[:, 5] = (prices[i1] < qf[i1, up_i]) & (prices[i2] > qf[i2, lo_i])
+    check_scores(block)
+    return block

@@ -25,7 +25,7 @@ from scipy import optimize, sparse
 from scipy.optimize import linprog
 from scipy.special import ndtr, ndtri
 
-from .errors import FitError, InsufficientDataError, SolverError
+from .errors import FitError, InsufficientDataError, QuantbessError, SolverError
 
 #: The universal quantile grid q = 0.01, ..., 0.99.
 QUANTILE_GRID = np.arange(1, 100) / 100.0
@@ -558,7 +558,7 @@ def sqra_fit_grid(pool, prices, qs=QUANTILE_GRID, bandwidth=None, starts=None, i
 
 
 # ---------------------------------------------------------------------------
-# Per-method calibration contexts and the unified forecast constructor
+# Per-method calibration contexts and the day's quantile matrix
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -631,31 +631,24 @@ def get_calibrator(tag: str):
         raise KeyError(f"unknown probabilistic method {tag!r}") from None
 
 
-def calibrate_method(tag: str, inputs: CalibrationInputs) -> MethodContext:
-    return get_calibrator(tag)(inputs)
+def quantile_matrix(ctx: MethodContext, point=None, pool_day=None) -> np.ndarray:
+    """(24, 99) monotone quantile matrix for one method and one day.
 
-
-def make_quantile_forecast(
-    method_or_context,
-    day: int,
-    hour: int,
-    point: float | None = None,
-    pool_row: np.ndarray | None = None,
-) -> QuantileForecast:
-    """Build the monotone 99-quantile forecast for one (day, hour).
-
-    Error-offset methods need `point`; regression methods need `pool_row`
-    (the day's point forecasts from every pool variant).
+    Error-offset methods need `point`, the day's 24 point forecasts;
+    regression methods need `pool_day`, the (n_variants, 24) pool forecasts.
     """
-    ctx = method_or_context
     if not isinstance(ctx, MethodContext):
         raise TypeError("expected a calibrated MethodContext")
     if ctx.betas is not None:
-        if pool_row is None:
+        if pool_day is None:
             raise ValueError(f"method {ctx.method!r} requires the day's pool forecasts")
-        values = ctx.betas @ np.concatenate(([1.0], np.asarray(pool_row, dtype=float)))
+        design = np.vstack([np.ones(24), pool_day])        # (n_var + 1, 24)
+        values = (ctx.betas @ design).T                    # (24, 99)
     else:
         if point is None:
             raise ValueError(f"method {ctx.method!r} requires a point forecast")
-        values = point + ctx.offsets
-    return _wrap(values, day, hour)
+        values = np.asarray(point, dtype=float)[:, None] + ctx.offsets[None, :]
+    values = np.sort(values, axis=1)
+    if not np.isfinite(values).all():
+        raise QuantbessError(f"model {ctx.method!r} produced non-finite quantiles")
+    return values

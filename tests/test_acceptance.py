@@ -24,7 +24,7 @@ from quantbess.bess_trading import (
     settle,
 )
 from quantbess.errors import StateInvariantError
-from quantbess.eval_metrics import pinball, sp_coverage_all
+from quantbess.eval_metrics import METRICS, pinball, sp_coverage_all
 from quantbess.market_data import synth_generate
 from quantbess.prob_models import (
     ErrorSample,
@@ -257,10 +257,12 @@ class TestAcceptance:
         series = synth_generate(config.first_trading_day + 75, seed=5)
         report = run_backtest(series, config)
         cutoff = config.first_trading_day + 60
+        wide = config.model_registry.index("hs_wide")
         failures = [
-            (outcome.metric, outcome.day)
-            for outcome in report.selection_log
-            if outcome.chosen_model == "hs_wide" and outcome.day >= cutoff
+            (METRICS[metric], day)
+            for day, chosen in zip(report.trading_days, report.chosen)
+            for metric, _ in np.argwhere(chosen == wide)
+            if day >= cutoff
         ]
         _verdict(9, "every metric drops the over-dispersed model within 60 days",
                  failures)

@@ -14,15 +14,24 @@ from quantbess.backtest_engine import (
     run_single_model,
     write_report,
 )
-from quantbess.bess_trading import profit_per_mwh
+from quantbess.bess_trading import choose_hours, profit_per_mwh
 from quantbess.errors import ConfigError
-from quantbess.eval_metrics import METRICS
+from quantbess.eval_metrics import (
+    METRICS,
+    sp_coverage_all,
+    sp_coverage_hours,
+    sp_pinball_all,
+    sp_pinball_buy,
+    sp_pinball_buysell,
+    sp_pinball_sell,
+)
 from quantbess.market_data import synth_generate
+from quantbess.prob_models import MEDIAN_INDEX, QuantileForecast
 
 
 @pytest.fixture(scope="module")
 def small_report(small_series, small_config):
-    return run_backtest(small_series, small_config)
+    return run_backtest(small_series, replace(small_config, keep_forecasts=True))
 
 
 class TestConfig:
@@ -73,23 +82,23 @@ class TestRunBacktest:
         for (metric, alpha), ledger in small_report.ledgers.items():
             assert [e.day for e in ledger.entries] == expected_days
 
-    def test_selection_log_complete(self, small_report, small_config):
-        n_keys = len(METRICS) * len(small_config.alphas)
-        assert len(small_report.selection_log) == n_keys * len(list(small_report.trading_days))
-        for outcome in small_report.selection_log:
-            assert outcome.chosen_model in small_config.model_registry
-            assert set(outcome.score_table) == set(small_config.model_registry)
+    def test_selection_log_complete(self, small_report, small_config, tmp_path):
+        n_trading = len(small_report.trading_days)
+        n_alphas, n_models = len(small_config.alphas), len(small_config.model_registry)
+        assert small_report.chosen.shape == (n_trading, len(METRICS), n_alphas)
+        assert small_report.averages.shape == (n_trading, len(METRICS), n_alphas, n_models)
+        assert ((small_report.chosen >= 0) & (small_report.chosen < n_models)).all()
+        write_report(small_report, tmp_path)
+        with open(tmp_path / SELECTION_FILE) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(METRICS) * n_alphas * n_trading
 
     def test_deterministic(self, small_series, small_config, small_report):
         again = run_backtest(small_series, small_config)
         assert again.profit_table() == small_report.profit_table()
-        assert [o.chosen_model for o in again.selection_log] == [
-            o.chosen_model for o in small_report.selection_log
-        ]
-        assert all(
-            a.score_table == b.score_table
-            for a, b in zip(again.selection_log, small_report.selection_log)
-        )
+        assert np.array_equal(again.chosen, small_report.chosen)
+        assert np.array_equal(again.averages, small_report.averages)
+        assert np.array_equal(again.store.cube, small_report.store.cube)
 
     def test_battery_invariant_and_continuity(self, small_report):
         for ledger in small_report.ledgers.values():
@@ -99,10 +108,10 @@ class TestRunBacktest:
                 assert entry.end_level in (0, 1, 2)
 
     def test_scores_cover_all_models_and_days(self, small_report, small_config):
-        days = {row.day for row in small_report.score_rows}
-        assert min(days) == small_config.first_forecast_day
-        models = {row.model_id for row in small_report.score_rows}
-        assert models == set(small_config.model_registry)
+        store = small_report.store
+        assert store.days == range(small_config.first_forecast_day, small_report.n_days)
+        assert store.registry_order == small_config.model_registry
+        assert not np.isnan(store.cube).any()
 
     def test_golden_profit(self, small_report):
         # Regression pin: frozen after the first verified run of this config.
@@ -179,6 +188,75 @@ class TestWriteReport:
         for key, ledger in small_report.ledgers.items():
             cash, vol = sums[key]
             assert cash / vol == pytest.approx(profit_per_mwh(ledger), abs=1e-9)
+
+
+class TestReportBundle:
+    """The written bundle against the reference scorers and the selection rule."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, small_report, tmp_path_factory):
+        outdir = tmp_path_factory.mktemp("bundle")
+        write_report(small_report, outdir)
+        with open(outdir / METRICS_FILE) as fh:
+            scores = {
+                (int(r["day"]), r["model_id"], float(r["alpha"])): r
+                for r in csv.DictReader(fh)
+            }
+        with open(outdir / SELECTION_FILE) as fh:
+            selections = list(csv.DictReader(fh))
+        return scores, selections
+
+    def test_metric_table_matches_oracles(self, bundle, small_report, small_series, small_config):
+        scores, _ = bundle
+        days = range(small_config.first_forecast_day, small_report.n_days)
+        assert len(scores) == len(days) * len(small_config.model_registry) * len(small_config.alphas)
+        for (day, model, alpha), row in scores.items():
+            qf = small_report.forecasts[day][model]
+            prices = small_series.prices[day]
+            hours = choose_hours(qf[:, MEDIAN_INDEX])
+            fc1 = QuantileForecast(day=day, hour=hours.h1, q_values=qf[hours.h1 - 1])
+            fc2 = QuantileForecast(day=day, hour=hours.h2, q_values=qf[hours.h2 - 1])
+            p1, p2 = prices[hours.h1 - 1], prices[hours.h2 - 1]
+            oracle = {
+                "pinball_all": sp_pinball_all(qf, prices),
+                "pinball_buysell": sp_pinball_buysell(fc1, fc2, p1, p2, alpha),
+                "pinball_sell": sp_pinball_sell(fc2, p2, alpha),
+                "pinball_buy": sp_pinball_buy(fc1, p1, alpha),
+                "coverage_all": sp_coverage_all(qf, prices, alpha),
+                "coverage_hours": float(sp_coverage_hours(fc1, fc2, p1, p2, alpha)),
+            }
+            for metric in METRICS:
+                assert float(row[metric]) == oracle[metric], (day, model, alpha, metric)
+
+    def test_selection_averages_are_window_means(self, bundle, small_config):
+        scores, selections = bundle
+        window = small_config.metric_window
+        for row in selections:
+            day, alpha = int(row["day"]), float(row["alpha"])
+            for model in small_config.model_registry:
+                values = [float(scores[(t, model, alpha)][row["metric"]])
+                          for t in range(day - window, day)]
+                assert float(row[f"avg_{model}"]) == np.mean(values), (row, model)
+
+    def test_chosen_models_follow_rule(self, bundle, small_config):
+        _, selections = bundle
+        models = small_config.model_registry
+        assert small_config.coverage_mode == "target"
+        for row in selections:
+            metric, alpha = row["metric"], float(row["alpha"])
+            averages = [float(row[f"avg_{m}"]) for m in models]
+            if metric.startswith("pinball"):
+                keys = averages
+            elif metric == "coverage_all":
+                keys = [abs(a - alpha) for a in averages]
+            else:
+                keys = [abs(a - ((1.0 + alpha) / 2.0) ** 2) for a in averages]
+            # strict "<" keeps the earliest model among equal keys
+            best = 0
+            for i, key in enumerate(keys):
+                if key < keys[best]:
+                    best = i
+            assert row["chosen_model"] == models[best], row
 
 
 GOLDEN_PINBALL_ALL_08 = 12.049773683515937

@@ -76,9 +76,6 @@ class TestConfigParsing:
         assert config.bandwidth is None
         assert build_config({"bandwidth": "2.5"}).bandwidth == 2.5
 
-    def test_seed_override(self):
-        assert build_config({}, seed_override=7).seed == 7
-
 
 class TestSynthAndIngest:
     def test_synth_deterministic(self, tmp_path):
@@ -110,7 +107,7 @@ class TestSynthAndIngest:
 class TestBacktest:
     def test_report_bundle(self, report_dir):
         manifest = json.loads((report_dir / MANIFEST_FILE).read_text())
-        assert manifest["seed"] == 0
+        assert "seed" not in manifest
         assert set(manifest["files"]) == {
             "profits_by_metric.csv", "selection_log.csv",
             "metric_table.csv", "ledgers.csv",
@@ -131,17 +128,15 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert "metric_window" in err and "0.85" in err
 
-    def test_seed_override_changes_manifest(self, dataset, config_file, report_dir, tmp_path):
-        outdir = tmp_path / "seeded"
-        code = main([
-            "backtest", "--data", str(dataset), "--config", str(config_file),
-            "--output", str(outdir), "--seed", "99",
-        ])
-        assert code == EXIT_OK
-        base = json.loads((report_dir / MANIFEST_FILE).read_text())
-        seeded = json.loads((outdir / MANIFEST_FILE).read_text())
-        assert seeded["seed"] == 99
-        assert seeded != base
+    def test_seed_is_not_a_setting(self, dataset, config_file, tmp_path, capsys):
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text(config_file.read_text() + "seed = 3\n")
+        code = main(["backtest", "--data", str(dataset), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--data", str(dataset), "--seed", "3"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_env_var_overrides_output(self, dataset, config_file, tmp_path, monkeypatch):
         outdir = tmp_path / "via_env"
@@ -172,6 +167,15 @@ class TestSingle:
         ])
         assert code == EXIT_OK
         assert "model=benchmark" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", ["hs", "benchmark"])
+    def test_off_grid_alpha_exit_2(self, dataset, config_file, model, capsys):
+        code = main([
+            "single", "--data", str(dataset), "--config", str(config_file),
+            "--model", model, "--alpha", "0.85",
+        ])
+        assert code == EXIT_USAGE
+        assert "0.85" in capsys.readouterr().err
 
 
 class TestReport:

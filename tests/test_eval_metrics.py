@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from quantbess.eval_metrics import (
     DEFAULT_ALPHAS,
     METRICS,
-    DailySpScores,
     TradingHours,
     alpha_quantiles,
+    check_scores,
     daily_scores,
     forecast_matrix,
     pi_hit,
@@ -216,19 +216,33 @@ class TestDailyScores:
     def test_fields_and_validation(self, rng):
         qf, prices = _random_day(rng)
         hours = TradingHours(h1=4, h2=19)
-        scores = daily_scores(12, "hs", qf, prices, hours, 0.8)
-        assert scores.day == 12
-        assert scores.model_id == "hs"
-        assert set(METRICS) <= set(vars(scores))
-        assert 0.0 <= scores.coverage_all <= 1.0
-        assert scores.coverage_hours in (0.0, 1.0)
-        assert scores.get("pinball_all") == scores.pinball_all
+        alphas = (0.5, 0.8, 0.98)
+        block = daily_scores(qf, prices, hours, alphas)
+        assert block.shape == (len(alphas), len(METRICS))
+        fc1 = QuantileForecast(day=12, hour=hours.h1, q_values=qf[hours.h1 - 1])
+        fc2 = QuantileForecast(day=12, hour=hours.h2, q_values=qf[hours.h2 - 1])
+        p1, p2 = prices[hours.h1 - 1], prices[hours.h2 - 1]
+        for row, alpha in zip(block, alphas):
+            oracle = {
+                "pinball_all": sp_pinball_all(qf, prices),
+                "pinball_buysell": sp_pinball_buysell(fc1, fc2, p1, p2, alpha),
+                "pinball_sell": sp_pinball_sell(fc2, p2, alpha),
+                "pinball_buy": sp_pinball_buy(fc1, p1, alpha),
+                "coverage_all": sp_coverage_all(qf, prices, alpha),
+                "coverage_hours": float(sp_coverage_hours(fc1, fc2, p1, p2, alpha)),
+            }
+            assert row.tolist() == [oracle[m] for m in METRICS]
+            assert 0.0 <= row[METRICS.index("coverage_all")] <= 1.0
+            assert row[METRICS.index("coverage_hours")] in (0.0, 1.0)
 
     def test_invalid_scores_rejected(self):
-        with pytest.raises(ValueError):
-            DailySpScores(0, "hs", 0.8, 1.0, 1.0, 1.0, 1.0, coverage_all=1.5, coverage_hours=0.0)
-        with pytest.raises(ValueError):
-            DailySpScores(0, "hs", 0.8, -1.0, 1.0, 1.0, 1.0, coverage_all=0.5, coverage_hours=0.0)
+        valid = [1.0, 1.0, 1.0, 1.0, 0.5, 0.0]
+        check_scores(np.array([valid]))
+        for column, value in ((4, 1.5), (0, -1.0), (3, -1e-9), (5, 0.5), (4, np.nan)):
+            bad = np.array([valid, valid])
+            bad[1, column] = value
+            with pytest.raises(ValueError):
+                check_scores(bad)
 
     def test_trading_hours_validation(self):
         with pytest.raises(ValueError):

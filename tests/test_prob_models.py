@@ -15,7 +15,6 @@ from quantbess.prob_models import (
     JsuParams,
     MethodContext,
     QuantileForecast,
-    calibrate_method,
     cp_offsets,
     cp_quantiles,
     default_bandwidth,
@@ -26,11 +25,11 @@ from quantbess.prob_models import (
     jsu_neg_loglik,
     jsu_quantile,
     jsu_sample,
-    make_quantile_forecast,
     pinball_sum,
     qra_fit,
     qra_fit_grid,
     quantile_index,
+    quantile_matrix,
     register_method,
     sqra_fit,
     sqra_gradient,
@@ -284,39 +283,43 @@ class TestSqra:
 
 class TestForecastConstruction:
     def test_hs_zero_residuals(self):
-        ctx = calibrate_method("hs", CalibrationInputs(errors=ErrorSample(np.zeros(120))))
-        fc = make_quantile_forecast(ctx, day=3, hour=7, point=64.0)
-        assert np.all(fc.q_values == 64.0)
+        ctx = get_calibrator("hs")(CalibrationInputs(errors=ErrorSample(np.zeros(120))))
+        qf = quantile_matrix(ctx, point=np.full(24, 64.0))
+        assert qf.shape == (24, 99)
+        assert np.all(qf == 64.0)
 
     def test_monotone_output(self, rng):
         errors = ErrorSample(rng.normal(0, 5, 300))
         for tag in ("hs", "cp"):
-            ctx = calibrate_method(tag, CalibrationInputs(errors=errors))
-            fc = make_quantile_forecast(ctx, day=0, hour=1, point=rng.normal(40, 5))
-            assert np.all(np.diff(fc.q_values) >= 0)
+            ctx = get_calibrator(tag)(CalibrationInputs(errors=errors))
+            qf = quantile_matrix(ctx, point=rng.normal(40, 5, 24))
+            assert np.all(np.diff(qf, axis=1) >= 0)
 
     def test_regression_method_applies_betas(self, rng):
         pool = rng.normal(40, 5, (150, 2))
         y = pool.mean(axis=1) + rng.normal(0, 2, 150)
-        ctx = calibrate_method("qra", CalibrationInputs(pool=pool, prices=y))
-        row = np.array([38.0, 41.0])
-        fc = make_quantile_forecast(ctx, day=0, hour=1, pool_row=row)
-        manual = np.sort(ctx.betas @ np.concatenate(([1.0], row)))
-        assert np.allclose(fc.q_values, manual)
+        ctx = get_calibrator("qra")(CalibrationInputs(pool=pool, prices=y))
+        pool_day = rng.normal(40, 5, (2, 24))
+        qf = quantile_matrix(ctx, pool_day=pool_day)
+        for hour in range(24):
+            manual = np.sort(ctx.betas @ np.concatenate(([1.0], pool_day[:, hour])))
+            assert np.allclose(qf[hour], manual)
 
     def test_missing_inputs_rejected(self):
         ctx = MethodContext("hs", offsets=np.zeros(99))
         with pytest.raises(ValueError):
-            make_quantile_forecast(ctx, day=0, hour=1, point=None)
+            quantile_matrix(ctx, point=None)
+        with pytest.raises(ValueError):
+            quantile_matrix(MethodContext("qra", betas=np.zeros((99, 3))), point=np.zeros(24))
         with pytest.raises(TypeError):
-            make_quantile_forecast("hs", day=0, hour=1, point=1.0)
+            quantile_matrix("hs", point=np.ones(24))
 
     def test_sqra_context_uses_qra_start(self, rng):
         pool = rng.normal(40, 5, (150, 2))
         y = pool.mean(axis=1) + rng.normal(0, 2, 150)
         inputs = CalibrationInputs(pool=pool, prices=y)
-        inputs.contexts["qra"] = calibrate_method("qra", inputs)
-        ctx = calibrate_method("sqra", inputs)
+        inputs.contexts["qra"] = get_calibrator("qra")(inputs)
+        ctx = get_calibrator("sqra")(inputs)
         assert ctx.betas.shape == (99, 3)
         assert ctx.bandwidth > 0
 
