@@ -20,19 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bess_trading, eval_metrics, point_model, prob_models
-from .bess_trading import BatteryState, StrategyConfig, TradeLedger
+from .bess_trading import TradeLedger
 from .errors import BacktestStageError, ConfigError, QuantbessError
 from .eval_metrics import DEFAULT_ALPHAS, METRICS
 from .market_data import MarketSeries
 from .model_selector import COVERAGE_MODES, ScoreStore
 from .point_model import DEFAULT_POOL_WINDOWS, FEATURE_LAG
-from .prob_models import (
-    CalibrationInputs,
-    ErrorSample,
-    MEDIAN_INDEX,
-    QuantileForecast,
-    get_calibrator,
-)
+from .prob_models import CalibrationInputs, ErrorSample, MEDIAN_INDEX, get_calibrator
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ class BacktestReport:
 
     config: BacktestConfig
     n_days: int
-    ledgers: dict                      # (metric, alpha) -> TradeLedger
+    ledger: TradeLedger                # (trading day, strategy), strategies as `strategies`
     store: ScoreStore                  # every forecast day's scores
     chosen: np.ndarray                 # (trading day, metric, alpha) -> registry index
     averages: np.ndarray               # (trading day, metric, alpha, model) rolling means
@@ -136,11 +130,14 @@ class BacktestReport:
     def trading_days(self) -> range:
         return range(self.config.first_trading_day, self.n_days)
 
+    @property
+    def strategies(self) -> list:
+        """(metric, alpha) of each ledger strategy: metric-major, alpha-minor,
+        the order of `chosen[d].ravel()`."""
+        return [(metric, alpha) for metric in METRICS for alpha in self.config.alphas]
+
     def profit_table(self) -> dict:
-        return {
-            key: bess_trading.profit_per_mwh(ledger)
-            for key, ledger in self.ledgers.items()
-        }
+        return dict(zip(self.strategies, bess_trading.profit_per_mwh(self.ledger).tolist()))
 
 
 def _stage(day, stage, fn, *args, **kwargs):
@@ -200,23 +197,18 @@ class _ForecastPipeline:
         self._calib_day = calib_day
         return contexts
 
-    def forecast_day(self, d: int) -> tuple[dict, dict, dict]:
-        """Per model for day d: the (24, 99) quantile matrix, the trading
-        hours and the QuantileForecasts of those two hours."""
+    def forecast_day(self, d: int) -> tuple[list, list]:
+        """Per model for day d, in registry order: the (24, 99) quantile
+        matrix and the trading hours."""
         contexts = self.contexts_for(d)
-        matrices, hours, pairs = {}, {}, {}
-        for tag in self.config.model_registry:
-            qf = _stage(
+        matrices = [
+            _stage(
                 d, f"forecast:{tag}", prob_models.quantile_matrix,
                 contexts[tag], self.primary_hist[d], self.pool_hist[d],
             )
-            hrs = bess_trading.choose_hours(qf[:, MEDIAN_INDEX])
-            matrices[tag], hours[tag] = qf, hrs
-            pairs[tag] = (
-                QuantileForecast(day=d, hour=hrs.h1, q_values=qf[hrs.h1 - 1]),
-                QuantileForecast(day=d, hour=hrs.h2, q_values=qf[hrs.h2 - 1]),
-            )
-        return matrices, hours, pairs
+            for tag in self.config.model_registry
+        ]
+        return matrices, [bess_trading.choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]
 
 
 def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> BacktestReport:
@@ -227,59 +219,44 @@ def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> 
     pipeline = _ForecastPipeline(series, config)
     registry = config.model_registry
     store = ScoreStore(registry, config.alphas, range(config.first_forecast_day, series.n_days))
-    keys = [(metric, alpha) for metric in METRICS for alpha in config.alphas]
-    ledgers = {key: TradeLedger() for key in keys}
-    states = {key: BatteryState(1) for key in keys}
-    strategy_cfg = {
-        alpha: StrategyConfig(alpha=alpha, forced_sell_mode=config.forced_sell_mode)
-        for alpha in config.alphas
-    }
-    chosen_log, averages_log = [], []
+    # strategies run metric-major, alpha-minor, as chosen.ravel() does
+    alphas = tuple(config.alphas) * len(METRICS)
+    level = np.ones(len(alphas), dtype=int)
+    days, chosen_log, averages_log = [], [], []
     forecasts = {} if config.keep_forecasts else None
 
     for d in range(config.first_point_day, series.n_days):
         pipeline.advance_point(d)
         if d < config.first_forecast_day:
             continue
-        matrices, hours, pairs = pipeline.forecast_day(d)
+        matrices, hours = pipeline.forecast_day(d)
         if forecasts is not None:
-            forecasts[d] = dict(matrices)
+            forecasts[d] = dict(zip(registry, matrices))
 
         # Trade day d before its realized prices influence anything.
         if d >= config.first_trading_day:
-            prices_d = series.prices[d]
             chosen, averages = _stage(
                 d, "select", store.select, d - 1, config.metric_window, config.coverage_mode,
             )
             chosen_log.append(chosen)
             averages_log.append(averages)
-            # keys run metric-major, alpha-minor, as chosen does
-            for key, index in zip(keys, chosen.ravel()):
-                alpha = key[1]
-                tag = registry[index]
-                qf1, qf2 = pairs[tag]
-                state = states[key]
-                orders = _stage(
-                    d, "orders", bess_trading.build_orders,
-                    qf1, qf2, state, matrices[tag][:, MEDIAN_INDEX], alpha, strategy_cfg[alpha],
-                )
-                entry = _stage(
-                    d, "settle", bess_trading.settle,
-                    orders, prices_d, state, d, strategy_cfg[alpha],
-                )
-                ledgers[key].append(entry)
-                states[key] = BatteryState(entry.end_level)
+            orders = _stage(
+                d, "orders", bess_trading.build_orders,
+                matrices, hours, chosen.ravel(), alphas, level, config.forced_sell_mode,
+            )
+            days.append(_stage(d, "settle", bess_trading.settle, orders, series.prices[d], level, d))
+            level = days[-1].end_level[0]
 
         # Score day d once trading is done.
-        for tag in registry:
+        for tag, qf, hrs in zip(registry, matrices, hours):
             store.add_scores(d, tag, eval_metrics.daily_scores(
-                matrices[tag], series.prices[d], hours[tag], config.alphas
+                qf, series.prices[d], hrs, config.alphas
             ))
 
     return BacktestReport(
         config=config,
         n_days=series.n_days,
-        ledgers=ledgers,
+        ledger=TradeLedger.stack(days),
         store=store,
         chosen=np.array(chosen_log),
         averages=np.array(averages_log),
@@ -293,10 +270,12 @@ def run_single_model(
     model: str = "hs",
     alpha: float = 0.8,
 ) -> TradeLedger:
-    """Trade every out-of-sample day with one fixed model (no selection).
+    """Trade every out-of-sample day with one fixed model (no selection);
+    the ledger holds one strategy.
 
     `model` may also be "benchmark": price-taker orders at the extremes of
-    the primary point forecast.
+    the primary point forecast.  The day loop is run_backtest's without
+    scoring, so no forecasts are made for the score warm-up days.
     """
     config = replace(config or BacktestConfig(), alphas=(alpha,))
     if model != "benchmark":
@@ -304,9 +283,8 @@ def run_single_model(
     config.validate(series.n_days)
 
     pipeline = _ForecastPipeline(series, config)
-    ledger = TradeLedger()
-    state = BatteryState(1)
-    strat = StrategyConfig(alpha=alpha, forced_sell_mode=config.forced_sell_mode)
+    level = np.ones(1, dtype=int)
+    days = []
 
     for d in range(config.first_point_day, series.n_days):
         pipeline.advance_point(d)
@@ -315,15 +293,14 @@ def run_single_model(
         if model == "benchmark":
             orders = bess_trading.benchmark_orders(pipeline.primary_hist[d])
         else:
-            matrices, _, pairs = pipeline.forecast_day(d)
+            matrices, hours = pipeline.forecast_day(d)
             orders = _stage(
                 d, "orders", bess_trading.build_orders,
-                *pairs[model], state, matrices[model][:, MEDIAN_INDEX], alpha, strat,
+                matrices, hours, [0], config.alphas, level, config.forced_sell_mode,
             )
-        entry = _stage(d, "settle", bess_trading.settle, orders, series.prices[d], state, d, strat)
-        ledger.append(entry)
-        state = BatteryState(entry.end_level)
-    return ledger
+        days.append(_stage(d, "settle", bess_trading.settle, orders, series.prices[d], level, d))
+        level = days[-1].end_level[0]
+    return TradeLedger.stack(days)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +362,8 @@ def write_report(report: BacktestReport, outdir) -> list:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "alpha", *bess_trading.LEDGER_COLUMNS])
-        for (metric, alpha), ledger in report.ledgers.items():
-            for row in bess_trading.ledger_rows(ledger):
+        for k, (metric, alpha) in enumerate(report.strategies):
+            for row in bess_trading.ledger_rows(report.ledger, k):
                 writer.writerow([metric, alpha, *row])
     paths.append(path)
 

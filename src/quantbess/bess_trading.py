@@ -6,17 +6,23 @@ sell discharges one block and delivers 0.9 MWh.  Daily orders: a limit bid at
 the lowest-median hour h1 priced at the upper PI bound, a limit offer at the
 highest-median hour h2 priced at the lower PI bound, plus a forced unlimited
 order when the day starts empty (buy) or full (sell).
+
+A day's K strategies are traded as columns.  `build_orders` (or
+`benchmark_orders`, K = 1) returns an `Orders` record of (K,) arrays and
+`settle` returns that day's `TradeLedger`, whose fields are (1, K) arrays;
+`TradeLedger.stack` joins days into (day, strategy) arrays.  Hours run
+1..24, and a forced hour of 0 means no forced order.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import StateInvariantError
-from .eval_metrics import TradingHours, alpha_quantiles
-from .prob_models import QuantileForecast, quantile_index
+from .eval_metrics import TradingHours, _pi_columns
+from .prob_models import MEDIAN_INDEX
 
 SELL_FACTOR = 0.9
 BUY_FACTOR = 1.0 / 0.9
@@ -25,84 +31,62 @@ FORCED_SELL_MODES = ("before_h2", "before_h1")
 
 
 @dataclass(frozen=True)
-class StrategyConfig:
-    """Strategy constants; defaults match the block-battery formulation."""
+class Orders:
+    """One day's orders of K strategies, a (K,) array per field."""
 
-    alpha: float = 0.8
-    sell_factor: float = SELL_FACTOR
-    buy_factor: float = BUY_FACTOR
-    capacity_mwh: float = 2.5
-    transaction_limit_mwh: float = 1.0
-    forced_sell_mode: str = "before_h2"
-
-    def __post_init__(self):
-        if self.forced_sell_mode not in FORCED_SELL_MODES:
-            raise ValueError(f"forced_sell_mode must be one of {FORCED_SELL_MODES}")
-
-
-@dataclass(frozen=True)
-class BatteryState:
-    level: int = 1
-
-    def __post_init__(self):
-        if self.level not in (0, 1, 2):
-            raise StateInvariantError(f"battery level {self.level} outside {{0,1,2}}")
+    h1: np.ndarray
+    h2: np.ndarray
+    bid_price: np.ndarray        # buy limit at h1
+    offer_price: np.ndarray      # sell limit at h2
+    bid_unlimited: np.ndarray    # price taker: the bid always fills
+    offer_unlimited: np.ndarray  # price taker: the offer always fills
+    bid_withdrawn: np.ndarray    # full battery, no forced sell placeable
+    offer_withdrawn: np.ndarray  # empty battery, no forced buy placeable
+    forced_buy_hour: np.ndarray  # 0 = none
+    forced_sell_hour: np.ndarray  # 0 = none
 
 
 @dataclass(frozen=True)
-class DailyOrders:
-    """Orders submitted for one delivery day."""
-
-    h1: int
-    h2: int
-    bid_price: float = np.inf      # buy limit at h1; +inf = unlimited
-    offer_price: float = -np.inf   # sell limit at h2; -inf = unlimited
-    bid_unlimited: bool = False
-    offer_unlimited: bool = False
-    bid_withdrawn: bool = False    # full battery, no forced sell placeable
-    offer_withdrawn: bool = False  # empty battery, no forced buy placeable
-    forced_buy_hour: int | None = None
-    forced_sell_hour: int | None = None
-    degenerate: bool = False       # flat-forecast day or unplaceable forced order
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    day: int
-    orders: DailyOrders
-    bid_accepted: bool
-    offer_accepted: bool
-    cash_flow: float
-    volume_bought: float
-    volume_sold: float
-    start_level: int
-    end_level: int
-
-
-@dataclass
 class TradeLedger:
-    """Sequential per-day trade records for one strategy instance."""
+    """Trade records of K strategies, a (day, strategy) array per field;
+    the fields are LEDGER_COLUMNS, in the order of the CSV columns."""
 
-    entries: list = field(default_factory=list)
+    day: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    bid_price: np.ndarray
+    offer_price: np.ndarray
+    bid_accepted: np.ndarray
+    offer_accepted: np.ndarray
+    forced_buy_hour: np.ndarray
+    forced_sell_hour: np.ndarray
+    cash_flow: np.ndarray
+    volume_bought: np.ndarray
+    volume_sold: np.ndarray
+    start_level: np.ndarray
+    end_level: np.ndarray
 
-    def append(self, entry: LedgerEntry) -> None:
-        self.entries.append(entry)
-
-    @property
-    def total_cash(self) -> float:
-        return sum(e.cash_flow for e in self.entries)
-
-    @property
-    def total_volume(self) -> float:
-        return sum(e.volume_bought + e.volume_sold for e in self.entries)
+    @classmethod
+    def stack(cls, days) -> "TradeLedger":
+        """One ledger from one-day ledgers, in the given day order."""
+        return cls(*(np.concatenate([getattr(d, name) for d in days]) for name in LEDGER_COLUMNS))
 
 
-def profit_per_mwh(ledger: TradeLedger) -> float:
-    """Total cash flow divided by total traded volume (bought + sold)."""
-    volume = ledger.total_volume
-    if volume <= 0:
+LEDGER_COLUMNS = tuple(f.name for f in fields(TradeLedger))
+
+
+def _day_total(column) -> np.ndarray:
+    """Per-strategy sum added in day order: np.sum adds pairwise, which
+    changes the last digits of the totals."""
+    return np.cumsum(np.vstack([np.zeros(column.shape[1]), column]), axis=0)[-1]
+
+
+def profit_per_mwh(ledger: TradeLedger) -> np.ndarray:
+    """Per strategy: total cash flow divided by total traded volume (bought + sold)."""
+    volume = _day_total(ledger.volume_bought + ledger.volume_sold)
+    if (volume <= 0).any():
         raise ValueError("no traded volume; profit per MWh undefined")
-    return ledger.total_cash / volume
+    return _day_total(ledger.cash_flow) / volume
 
 
 def choose_hours(median_forecast) -> TradingHours:
@@ -122,140 +106,130 @@ def choose_hours(median_forecast) -> TradingHours:
     return TradingHours(h1=h1, h2=h2)
 
 
-def _best_forced_hour(values, before_hour, exclude, maximize):
+def _best_forced_hour(values, before_hour, exclude, maximize) -> int:
+    """Cheapest (or dearest) hour before `before_hour` outside `exclude`,
+    earliest on ties; 0 when there is none."""
     candidates = [h for h in range(1, before_hour) if h not in exclude]
     if not candidates:
-        return None
+        return 0
     key = (lambda h: (values[h - 1], -h)) if maximize else (lambda h: (-values[h - 1], -h))
     return max(candidates, key=key)
 
 
-def build_orders(
-    qf_h1: QuantileForecast,
-    qf_h2: QuantileForecast,
-    state: BatteryState,
-    median_forecast,
-    alpha: float,
-    config: StrategyConfig | None = None,
-) -> DailyOrders:
-    """Daily bid/offer from the PI bounds, plus forced orders at empty/full."""
-    config = config or StrategyConfig(alpha=alpha)
-    hours = TradingHours(h1=qf_h1.hour, h2=qf_h2.hour)
-    lo, up = alpha_quantiles(alpha)
-    bid = qf_h1.q_values[quantile_index(up)]
-    offer = qf_h2.q_values[quantile_index(lo)]
-    values = np.asarray(median_forecast, dtype=float)
+def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) -> Orders:
+    """Daily bid/offer from the PI bounds, plus forced orders at empty/full.
 
-    forced_buy = forced_sell = None
-    bid_withdrawn = offer_withdrawn = False
-    degenerate = False
-    if state.level == 0:
-        forced_buy = _best_forced_hour(values, hours.h2, {hours.h1}, maximize=False)
-        if forced_buy is None:
-            # Nothing to deliver at h2 without the forced charge.
-            degenerate = offer_withdrawn = True
-    elif state.level == 2:
-        before = hours.h2 if config.forced_sell_mode == "before_h2" else hours.h1
-        forced_sell = _best_forced_hour(values, before, {hours.h1, hours.h2}, maximize=True)
-        if forced_sell is None:
-            # No room to store the h1 purchase without the forced discharge.
-            degenerate = bid_withdrawn = True
-    return DailyOrders(
-        h1=hours.h1, h2=hours.h2, bid_price=bid, offer_price=offer,
-        bid_withdrawn=bid_withdrawn, offer_withdrawn=offer_withdrawn,
+    `quantiles` and `hours` hold each model's (24, 99) quantile matrix and
+    TradingHours for the day; `model`, `alphas` and `level` hold each
+    strategy's model index, alpha and starting battery level.  The forced
+    hours depend only on the model, so they are found once per model.
+    """
+    if forced_sell_mode not in FORCED_SELL_MODES:
+        raise ValueError(f"forced_sell_mode must be one of {FORCED_SELL_MODES}")
+    lo_i, up_i = _pi_columns(tuple(alphas))
+    model = np.asarray(model, dtype=int)
+    level = np.asarray(level, dtype=int)
+
+    hour_table, forced_table = [], []
+    for qf, hrs in zip(quantiles, hours):
+        values = qf[:, MEDIAN_INDEX]
+        before = hrs.h2 if forced_sell_mode == "before_h2" else hrs.h1
+        hour_table.append((hrs.h1, hrs.h2))
+        forced_table.append((
+            _best_forced_hour(values, hrs.h2, {hrs.h1}, maximize=False),
+            _best_forced_hour(values, before, {hrs.h1, hrs.h2}, maximize=True),
+        ))
+    h1, h2 = np.array(hour_table)[model].T
+    forced_buy, forced_sell = np.array(forced_table)[model].T
+    forced_buy = np.where(level == 0, forced_buy, 0)
+    forced_sell = np.where(level == 2, forced_sell, 0)
+    qf = np.asarray(quantiles)
+    no = np.zeros(model.shape, dtype=bool)
+    return Orders(
+        h1=h1, h2=h2, bid_price=qf[model, h1 - 1, up_i], offer_price=qf[model, h2 - 1, lo_i],
+        bid_unlimited=no, offer_unlimited=no,
+        # Full battery, no forced discharge: no room to store the h1 purchase.
+        bid_withdrawn=(level == 2) & (forced_sell == 0),
+        # Empty battery, no forced charge: nothing to deliver at h2.
+        offer_withdrawn=(level == 0) & (forced_buy == 0),
         forced_buy_hour=forced_buy, forced_sell_hour=forced_sell,
-        degenerate=degenerate,
     )
 
 
-def benchmark_orders(point_forecast) -> DailyOrders:
-    """Price-taker benchmark: unlimited buy at the cheapest predicted hour,
-    unlimited sell at the dearest; both always accepted."""
+def benchmark_orders(point_forecast) -> Orders:
+    """Price-taker benchmark (K = 1): unlimited buy at the cheapest predicted
+    hour, unlimited sell at the dearest; both always accepted."""
     hours = choose_hours(point_forecast)
-    return DailyOrders(h1=hours.h1, h2=hours.h2, bid_unlimited=True, offer_unlimited=True)
+    yes, no, none = np.ones(1, dtype=bool), np.zeros(1, dtype=bool), np.zeros(1, dtype=int)
+    return Orders(
+        h1=np.array([hours.h1]), h2=np.array([hours.h2]),
+        bid_price=np.array([np.inf]), offer_price=np.array([-np.inf]),
+        bid_unlimited=yes, offer_unlimited=yes, bid_withdrawn=no, offer_withdrawn=no,
+        forced_buy_hour=none, forced_sell_hour=none,
+    )
 
 
-def settle(
-    orders: DailyOrders,
-    prices,
-    state: BatteryState,
-    day: int = 0,
-    config: StrategyConfig | None = None,
-) -> LedgerEntry:
-    """Settle one day against realized prices and return the ledger entry.
+def settle(orders: Orders, prices, level, day: int = 0) -> TradeLedger:
+    """Settle one day's orders against realized prices; returns the day's ledger.
 
     A bid fills when the clearing price is at or below its limit; an offer
     fills at or above its limit.  Forced orders always fill (price takers).
+    The cash adds forced buy, forced sell, bid and offer in that order.
     """
-    config = config or StrategyConfig()
     prices = np.asarray(prices, dtype=float)
     if prices.shape != (24,):
         raise ValueError("prices must hold 24 hours")
+    level = np.asarray(level, dtype=int)
     p_h1, p_h2 = prices[orders.h1 - 1], prices[orders.h2 - 1]
-    bid_accepted = not orders.bid_withdrawn and (
-        orders.bid_unlimited or p_h1 <= orders.bid_price
+    bid_accepted = ~orders.bid_withdrawn & (orders.bid_unlimited | (p_h1 <= orders.bid_price))
+    offer_accepted = ~orders.offer_withdrawn & (
+        orders.offer_unlimited | (p_h2 >= orders.offer_price)
     )
-    offer_accepted = not orders.offer_withdrawn and (
-        orders.offer_unlimited or p_h2 >= orders.offer_price
-    )
+    forced_buy, forced_sell = orders.forced_buy_hour > 0, orders.forced_sell_hour > 0
 
-    cash = 0.0
-    bought = sold = 0.0
-    level = state.level
-    if orders.forced_buy_hour is not None:
-        cash -= config.buy_factor * prices[orders.forced_buy_hour - 1]
-        bought += config.buy_factor
-        level += 1
-    if orders.forced_sell_hour is not None:
-        cash += config.sell_factor * prices[orders.forced_sell_hour - 1]
-        sold += config.sell_factor
-        level -= 1
-    if bid_accepted:
-        cash -= config.buy_factor * p_h1
-        bought += config.buy_factor
-        level += 1
-    if offer_accepted:
-        cash += config.sell_factor * p_h2
-        sold += config.sell_factor
-        level -= 1
-    if level not in (0, 1, 2):
+    cash = 0.0 - np.where(forced_buy, BUY_FACTOR * prices[orders.forced_buy_hour - 1], 0.0)
+    cash = cash + np.where(forced_sell, SELL_FACTOR * prices[orders.forced_sell_hour - 1], 0.0)
+    cash = cash - np.where(bid_accepted, BUY_FACTOR * p_h1, 0.0)
+    cash = cash + np.where(offer_accepted, SELL_FACTOR * p_h2, 0.0)
+    bought = 0.0 + np.where(forced_buy, BUY_FACTOR, 0.0) + np.where(bid_accepted, BUY_FACTOR, 0.0)
+    sold = 0.0 + np.where(forced_sell, SELL_FACTOR, 0.0) + np.where(offer_accepted, SELL_FACTOR, 0.0)
+    end = level + forced_buy - forced_sell + bid_accepted - offer_accepted
+
+    bad = np.flatnonzero((np.minimum(level, end) < 0) | (np.maximum(level, end) > 2))
+    if bad.size:
+        k = int(bad[0])
         raise StateInvariantError(
-            f"day {day}: battery level {level} outside {{0,1,2}} "
-            f"(start {state.level}, orders {orders})"
+            f"day {day}, strategy {k}: battery level {end[k]} outside {{0,1,2}} "
+            f"(start {level[k]}, forced buy/sell hours {orders.forced_buy_hour[k]}/"
+            f"{orders.forced_sell_hour[k]})"
         )
-    return LedgerEntry(
-        day=day, orders=orders,
-        bid_accepted=bool(bid_accepted), offer_accepted=bool(offer_accepted),
-        cash_flow=cash, volume_bought=bought, volume_sold=sold,
-        start_level=state.level, end_level=level,
+    columns = (
+        np.full(level.shape, day), orders.h1, orders.h2, orders.bid_price, orders.offer_price,
+        bid_accepted, offer_accepted, orders.forced_buy_hour, orders.forced_sell_hour,
+        cash, bought, sold, level, end,
     )
+    return TradeLedger(*(np.asarray(c)[None, :] for c in columns))
 
 
-LEDGER_COLUMNS = (
-    "day", "h1", "h2", "bid_price", "offer_price", "bid_accepted",
-    "offer_accepted", "forced_buy_hour", "forced_sell_hour", "cash_flow",
-    "volume_bought", "volume_sold", "start_level", "end_level",
-)
-
-
-def ledger_rows(ledger: TradeLedger):
-    for e in ledger.entries:
-        o = e.orders
+def ledger_rows(ledger: TradeLedger, k: int):
+    """CSV rows of strategy k in day order; no forced order is written empty."""
+    columns = [getattr(ledger, name)[:, k].tolist() for name in LEDGER_COLUMNS]
+    for (day, h1, h2, bid, offer, bid_acc, offer_acc, forced_buy, forced_sell,
+         cash, bought, sold, start, end) in zip(*columns):
         yield (
-            e.day, o.h1, o.h2, o.bid_price, o.offer_price,
-            int(e.bid_accepted), int(e.offer_accepted),
-            "" if o.forced_buy_hour is None else o.forced_buy_hour,
-            "" if o.forced_sell_hour is None else o.forced_sell_hour,
-            repr(float(e.cash_flow)), repr(float(e.volume_bought)), repr(float(e.volume_sold)),
-            e.start_level, e.end_level,
+            day, h1, h2, bid, offer, int(bid_acc), int(offer_acc),
+            forced_buy or "", forced_sell or "",
+            repr(cash), repr(bought), repr(sold), start, end,
         )
 
 
 def export_ledger(ledger: TradeLedger, path, extra=None) -> None:
-    """CSV dump of a single ledger; `extra` prepends constant columns."""
+    """CSV dump of a ledger, one strategy after another; `extra` prepends
+    constant columns."""
     extra = extra or {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([*extra.keys(), *LEDGER_COLUMNS])
-        for row in ledger_rows(ledger):
-            writer.writerow([*extra.values(), *row])
+        for k in range(ledger.day.shape[1]):
+            for row in ledger_rows(ledger, k):
+                writer.writerow([*extra.values(), *row])

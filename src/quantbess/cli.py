@@ -180,8 +180,8 @@ def cmd_single(args) -> int:
             ledger, args.output, extra={"model": args.model, "alpha": args.alpha}
         )
         print(f"ledger written to {args.output}")
-    profit = bess_trading.profit_per_mwh(ledger)
-    print(f"model={args.model} alpha={args.alpha} days={len(ledger.entries)} "
+    profit = bess_trading.profit_per_mwh(ledger)[0]
+    print(f"model={args.model} alpha={args.alpha} days={len(ledger.day)} "
           f"profit_per_mwh={profit:.4f}")
     return EXIT_OK
 

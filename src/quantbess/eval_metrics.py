@@ -61,8 +61,9 @@ def alpha_quantiles(alpha: float) -> tuple[float, float]:
 def _pi_columns(alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Grid columns of the lower and upper PI bounds of each alpha.
 
-    Cached because the backtest asks for the same alphas every model-day,
-    and the grid checks cost more than the scoring itself.
+    Cached because the backtest asks for the same alphas every model-day
+    and every trading day, and the grid checks cost more than the scoring
+    itself.
     """
     pairs = [alpha_quantiles(alpha) for alpha in alphas]
     lo_i = np.array([quantile_index(lo) for lo, _ in pairs])

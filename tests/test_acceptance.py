@@ -15,10 +15,9 @@ from scipy.special import ndtri
 from quantbess.backtest_engine import BacktestConfig, run_backtest, write_report
 from quantbess.bess_trading import (
     BUY_FACTOR,
+    FORCED_SELL_MODES,
     SELL_FACTOR,
-    BatteryState,
-    DailyOrders,
-    StrategyConfig,
+    Orders,
     build_orders,
     choose_hours,
     settle,
@@ -31,7 +30,6 @@ from quantbess.prob_models import (
     JsuParams,
     MethodContext,
     QUANTILE_GRID,
-    QuantileForecast,
     _with_intercept,
     cp_offsets,
     hs_offsets,
@@ -173,73 +171,76 @@ class TestAcceptance:
     def test_criterion_06_settlement_table(self):
         rng = np.random.default_rng(606)
         failures = []
-        combos_seen = set()
+        combos = [
+            (level, fb, fs, bid, offer)
+            for level in (0, 1, 2)
+            for fb in (False, True)
+            for fs in (False, True)
+            for bid in (False, True)
+            for offer in (False, True)
+        ]
+        valid = [c for c in combos if c[0] + c[1] - c[2] + c[3] - c[4] in (0, 1, 2)]
+        invalid = [c for c in combos if c not in valid]
+
+        def orders(rows):
+            level, fb, fs, bid, offer = (np.array(c) for c in zip(*rows))
+            no = np.zeros(len(rows), dtype=bool)
+            return level, Orders(
+                h1=np.full(len(rows), 4), h2=np.full(len(rows), 19),
+                bid_price=np.where(bid, 1e9, -1e9), offer_price=np.where(offer, -1e9, 1e9),
+                bid_unlimited=no, offer_unlimited=no, bid_withdrawn=no, offer_withdrawn=no,
+                forced_buy_hour=np.where(fb, 2, 0), forced_sell_hour=np.where(fs, 3, 0),
+            )
+
+        level, valid_orders = orders(valid)
+        breaches = [orders([combo]) for combo in invalid]
         for day in range(1000):
             prices = rng.normal(50, 20, 24)
-            for level in (0, 1, 2):
-                for fb in (False, True):
-                    for fs in (False, True):
-                        for bid in (False, True):
-                            for offer in (False, True):
-                                combos_seen.add((level, fb, fs, bid, offer))
-                                orders = DailyOrders(
-                                    h1=4, h2=19,
-                                    bid_price=1e9 if bid else -1e9,
-                                    offer_price=-1e9 if offer else 1e9,
-                                    forced_buy_hour=2 if fb else None,
-                                    forced_sell_hour=3 if fs else None,
-                                )
-                                end = level + fb - fs + bid - offer
-                                if end not in (0, 1, 2):
-                                    with pytest.raises(StateInvariantError):
-                                        settle(orders, prices, BatteryState(level))
-                                    continue
-                                entry = settle(orders, prices, BatteryState(level))
-                                cash = 0.0
-                                if fb:
-                                    cash -= BUY_FACTOR * prices[1]
-                                if fs:
-                                    cash += SELL_FACTOR * prices[2]
-                                if bid:
-                                    cash -= BUY_FACTOR * prices[3]
-                                if offer:
-                                    cash += SELL_FACTOR * prices[18]
-                                if entry.cash_flow != cash or entry.end_level != end:
-                                    failures.append((day, level, fb, fs, bid, offer))
-        if len(combos_seen) != 48:
-            failures.append(f"only {len(combos_seen)} combinations covered")
+            for breach_level, breach in breaches:
+                with pytest.raises(StateInvariantError):
+                    settle(breach, prices, breach_level, day)
+            ledger = settle(valid_orders, prices, level, day)
+            for k, (start, fb, fs, bid, offer) in enumerate(valid):
+                cash = 0.0
+                if fb:
+                    cash -= BUY_FACTOR * prices[1]
+                if fs:
+                    cash += SELL_FACTOR * prices[2]
+                if bid:
+                    cash -= BUY_FACTOR * prices[3]
+                if offer:
+                    cash += SELL_FACTOR * prices[18]
+                end = start + fb - fs + bid - offer
+                if ledger.cash_flow[0, k] != cash or ledger.end_level[0, k] != end:
+                    failures.append((day, start, fb, fs, bid, offer))
+        if len(valid) + len(invalid) != 48:
+            failures.append(f"only {len(valid) + len(invalid)} combinations covered")
         # the headline both-accepted case: 0.9 * P(h2) - (1/0.9) * P(h1)
         prices = rng.normal(50, 20, 24)
-        entry = settle(DailyOrders(h1=4, h2=19, bid_price=1e9, offer_price=-1e9),
-                       prices, BatteryState(1))
-        if entry.cash_flow != 0.9 * prices[18] - prices[3] / 0.9:
+        level, both = orders([(1, False, False, True, True)])
+        ledger = settle(both, prices, level)
+        if ledger.cash_flow[0, 0] != 0.9 * prices[18] - prices[3] / 0.9:
             failures.append("both-accepted formula mismatch")
         _verdict(6, "settlement equals the brute-force cash table exactly", failures)
 
     def test_criterion_07_battery_invariant_fuzz(self):
         rng = np.random.default_rng(707)
-        state = BatteryState(1)
+        level = np.ones(1, dtype=int)
         failures = []
         for day in range(10000):
             curve = rng.normal(50, 10, 24)
-            hours = choose_hours(curve)
             alpha = float(rng.choice([0.5, 0.8, 0.98]))
-            width1, width2 = rng.uniform(1, 30, 2)
-            qf1 = QuantileForecast(
-                day=day, hour=hours.h1,
-                q_values=curve[hours.h1 - 1] + np.linspace(-width1, width1, 99),
-            )
-            qf2 = QuantileForecast(
-                day=day, hour=hours.h2,
-                q_values=curve[hours.h2 - 1] + np.linspace(-width2, width2, 99),
-            )
-            orders = build_orders(qf1, qf2, state, curve, alpha,
-                                  StrategyConfig(alpha=alpha))
-            entry = settle(orders, rng.normal(50, 25, 24), state, day=day)
-            if entry.end_level not in (0, 1, 2):
-                failures.append((day, entry.end_level))
+            width = np.full(24, 1.0)
+            hours = choose_hours(curve)
+            width[[hours.h1 - 1, hours.h2 - 1]] = rng.uniform(1, 30, 2)
+            qf = curve[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 99)
+            orders = build_orders([qf], [hours], [0], [alpha], level,
+                                  FORCED_SELL_MODES[day % 2])
+            ledger = settle(orders, rng.normal(50, 25, 24), level, day)
+            if not np.isin(ledger.end_level, (0, 1, 2)).all():
+                failures.append((day, ledger.end_level.tolist()))
                 break
-            state = BatteryState(entry.end_level)
+            level = ledger.end_level[0]
         _verdict(7, "battery level stays in {0,1,2} over a 10000-day fuzz", failures)
 
     def test_criterion_09_miscalibrated_model_dropped(self):
@@ -326,9 +327,7 @@ class TestAcceptance:
         for tag in config.model_registry:
             if not np.array_equal(r1.forecasts[day][tag], r2.forecasts[day][tag]):
                 failures.append(f"forecast for {tag} changed with the mutated price")
-        cash1 = [r1.ledgers[key].entries[0].cash_flow for key in r1.ledgers]
-        cash2 = [r2.ledgers[key].entries[0].cash_flow for key in r2.ledgers]
-        if cash1 == cash2:
+        if r1.ledger.cash_flow[0].tolist() == r2.ledger.cash_flow[0].tolist():
             failures.append("settlement unchanged by the price mutation")
         _verdict(8, "700-day run under 10 min, bit-identical, no look-ahead",
                  failures)

@@ -14,7 +14,7 @@ from quantbess.backtest_engine import (
     run_single_model,
     write_report,
 )
-from quantbess.bess_trading import choose_hours, profit_per_mwh
+from quantbess.bess_trading import LEDGER_COLUMNS, choose_hours, profit_per_mwh
 from quantbess.errors import ConfigError
 from quantbess.eval_metrics import (
     METRICS,
@@ -79,8 +79,12 @@ class TestRunBacktest:
     def test_every_trading_day_in_every_ledger(self, small_report, small_config):
         expected_days = list(small_report.trading_days)
         assert expected_days[0] == small_config.first_trading_day
-        for (metric, alpha), ledger in small_report.ledgers.items():
-            assert [e.day for e in ledger.entries] == expected_days
+        ledger = small_report.ledger
+        assert len(small_report.strategies) == len(METRICS) * len(small_config.alphas)
+        for name in LEDGER_COLUMNS:
+            assert getattr(ledger, name).shape == (len(expected_days), len(small_report.strategies))
+        for k in range(len(small_report.strategies)):
+            assert ledger.day[:, k].tolist() == expected_days
 
     def test_selection_log_complete(self, small_report, small_config, tmp_path):
         n_trading = len(small_report.trading_days)
@@ -101,11 +105,12 @@ class TestRunBacktest:
         assert np.array_equal(again.store.cube, small_report.store.cube)
 
     def test_battery_invariant_and_continuity(self, small_report):
-        for ledger in small_report.ledgers.values():
-            levels = [1] + [e.end_level for e in ledger.entries]
-            for entry, start in zip(ledger.entries, levels):
-                assert entry.start_level == start
-                assert entry.end_level in (0, 1, 2)
+        ledger = small_report.ledger
+        for k in range(len(small_report.strategies)):
+            levels = [1] + ledger.end_level[:, k].tolist()
+            for start, end, expect in zip(ledger.start_level[:, k].tolist(), levels[1:], levels):
+                assert start == expect
+                assert end in (0, 1, 2)
 
     def test_scores_cover_all_models_and_days(self, small_report, small_config):
         store = small_report.store
@@ -130,16 +135,17 @@ class TestRunSingleModel:
         )
         full = run_backtest(small_series, config)
         single = run_single_model(small_series, config, "cp", 0.8)
-        for metric in METRICS:
-            ledger = full.ledgers[(metric, 0.8)]
-            assert [e.cash_flow for e in ledger.entries] == [
-                e.cash_flow for e in single.entries
-            ]
+        assert full.strategies == [(metric, 0.8) for metric in METRICS]
+        for k in range(len(METRICS)):
+            for name in LEDGER_COLUMNS:
+                assert getattr(full.ledger, name)[:, k].tolist() == (
+                    getattr(single, name)[:, 0].tolist()
+                ), name
 
     def test_benchmark_all_accepted(self, small_series, small_config):
         ledger = run_single_model(small_series, small_config, "benchmark", 0.8)
-        assert ledger.entries
-        assert all(e.bid_accepted and e.offer_accepted for e in ledger.entries)
+        assert ledger.day[:, 0].tolist() == list(range(small_config.first_trading_day, 90))
+        assert ledger.bid_accepted.all() and ledger.offer_accepted.all()
 
     def test_unknown_model_rejected(self, small_series, small_config):
         with pytest.raises(ConfigError):
@@ -160,9 +166,8 @@ class TestNoLookAhead:
         r2 = run_backtest(mutated, config)
         for tag in config.model_registry:
             assert np.array_equal(r1.forecasts[day][tag], r2.forecasts[day][tag])
-        cash1 = [r1.ledgers[k].entries[0].cash_flow for k in r1.ledgers]
-        cash2 = [r2.ledgers[k].entries[0].cash_flow for k in r2.ledgers]
-        assert cash1 != cash2
+        assert r1.ledger.day[0, 0] == day
+        assert r1.ledger.cash_flow[0].tolist() != r2.ledger.cash_flow[0].tolist()
 
 
 class TestWriteReport:
@@ -185,9 +190,10 @@ class TestWriteReport:
                     cash + float(row["cash_flow"]),
                     vol + float(row["volume_bought"]) + float(row["volume_sold"]),
                 )
-        for key, ledger in small_report.ledgers.items():
+        assert list(sums) == small_report.strategies
+        for key, profit in zip(small_report.strategies, profit_per_mwh(small_report.ledger)):
             cash, vol = sums[key]
-            assert cash / vol == pytest.approx(profit_per_mwh(ledger), abs=1e-9)
+            assert cash / vol == pytest.approx(profit, abs=1e-9)
 
 
 class TestReportBundle:

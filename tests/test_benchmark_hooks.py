@@ -39,3 +39,65 @@ def test_hook_resolves(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+TINY_CONFIG = """\
+point_window = 56
+prob_window = 8
+metric_window = 5
+alphas = 0.5, 0.8
+pool_window_lengths = 30, 56
+model_registry = hs, cp
+"""
+
+
+#: Spans that only one of the two commands below reaches.
+BACKTEST_ONLY = {
+    "backtest_engine.run_backtest", "backtest_engine.write_report",
+    "model_selector.ScoreStore.select", "model_selector.ScoreStore.add_scores",
+    "bess_trading.build_orders",
+}
+SINGLE_ONLY = {
+    "backtest_engine.run_single_model", "bess_trading.benchmark_orders",
+    "bess_trading.export_ledger",
+}
+
+
+def test_every_span_is_called(tmp_path, monkeypatch):
+    """A hook the program no longer calls through its module attribute would
+    read 0 in the benchmark's per-layer metrics: count the calls of every
+    span on a tiny `quantbess backtest` and `quantbess single --model benchmark`."""
+    from quantbess import cli, market_data
+
+    data, config = tmp_path / "series.csv", tmp_path / "tiny.cfg"
+    market_data.export_csv(market_data.synth_generate(84, seed=3), data)
+    config.write_text(TINY_CONFIG)
+
+    calls = {}
+    for module_name, attr in _tables()["SPANS"]:
+        owner = importlib.import_module(f"quantbess.{module_name}")
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        original = getattr(owner, leaf)
+        name = f"{module_name}.{attr}"
+        calls[name] = 0
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, leaf, counted)
+    assert BACKTEST_ONLY | SINGLE_ONLY < set(calls)
+
+    common = ["--data", str(data), "--config", str(config)]
+    assert cli.main(["backtest", *common, "--output", str(tmp_path / "report")]) == 0
+    assert {name for name, n in calls.items() if n == 0} == SINGLE_ONLY
+    # one order step per trading day, for all strategies at once
+    assert calls["bess_trading.build_orders"] == calls["model_selector.ScoreStore.select"]
+    assert calls["bess_trading.settle"] == calls["model_selector.ScoreStore.select"]
+
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.main(["single", *common, "--model", "benchmark",
+                     "--output", str(tmp_path / "ledger.csv")]) == 0
+    assert {name for name, n in calls.items() if n == 0} == BACKTEST_ONLY

@@ -1,13 +1,19 @@
+import functools
+import operator
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantbess.backtest_engine import BacktestConfig, BacktestReport
 from quantbess.bess_trading import (
     BUY_FACTOR,
+    FORCED_SELL_MODES,
+    LEDGER_COLUMNS,
     SELL_FACTOR,
-    BatteryState,
-    DailyOrders,
-    LedgerEntry,
-    StrategyConfig,
+    Orders,
     TradeLedger,
     benchmark_orders,
     build_orders,
@@ -17,12 +23,15 @@ from quantbess.bess_trading import (
     settle,
 )
 from quantbess.errors import StateInvariantError
-from quantbess.prob_models import QuantileForecast
+from quantbess.eval_metrics import DEFAULT_ALPHAS, METRICS, alpha_quantiles
+from quantbess.prob_models import MEDIAN_INDEX, quantile_index
 
 
-def _qf(hour, center, width=10.0, day=0):
-    values = center + np.linspace(-width, width, 99)
-    return QuantileForecast(day=day, hour=hour, q_values=values)
+def _matrix(curve, width=10.0):
+    """(24, 99) quantile matrix spread around a median curve; `width` may
+    be one value or one per hour."""
+    width = np.broadcast_to(np.asarray(width, dtype=float), (24,))
+    return np.asarray(curve, dtype=float)[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 99)
 
 
 def _median_curve(h1=4, h2=19):
@@ -30,6 +39,91 @@ def _median_curve(h1=4, h2=19):
     values = 50.0 - 8.0 * np.exp(-0.5 * ((np.arange(1, 25) - h1) / 1.5) ** 2)
     values += 9.0 * np.exp(-0.5 * ((np.arange(1, 25) - h2) / 1.5) ** 2)
     return values
+
+
+def _build(qf, level, alpha=0.8, mode="before_h2"):
+    """One strategy's orders from one model's quantile matrix."""
+    hours = choose_hours(qf[:, MEDIAN_INDEX])
+    return build_orders([qf], [hours], [0], [alpha], [level], mode)
+
+
+def _orders(bid_price, offer_price, forced_buy_hour=0, forced_sell_hour=0):
+    """A one-strategy limit bid at hour 4 and limit offer at hour 19."""
+    no = np.zeros(1, dtype=bool)
+    return Orders(
+        h1=np.array([4]), h2=np.array([19]),
+        bid_price=np.array([bid_price], dtype=float), offer_price=np.array([offer_price], dtype=float),
+        bid_unlimited=no, offer_unlimited=no, bid_withdrawn=no, offer_withdrawn=no,
+        forced_buy_hour=np.array([forced_buy_hour]), forced_sell_hour=np.array([forced_sell_hour]),
+    )
+
+
+def _one(value):
+    """The single value of a one-strategy, one-day column."""
+    return np.asarray(value).item()
+
+
+# -- plain-Python reference: one strategy at a time ---------------------------
+
+def _oracle_forced_hour(values, before_hour, exclude, maximize):
+    best = 0
+    for h in range(1, before_hour):
+        if h in exclude:
+            continue
+        better = values[h - 1] > values[best - 1] if maximize else values[h - 1] < values[best - 1]
+        if best == 0 or better:
+            best = h
+    return best
+
+
+def _oracle_orders(qf, h1, h2, alpha, level, mode):
+    values = qf[:, MEDIAN_INDEX]
+    lo, up = alpha_quantiles(alpha)
+    orders = dict(
+        h1=h1, h2=h2,
+        bid_price=qf[h1 - 1][quantile_index(up)], offer_price=qf[h2 - 1][quantile_index(lo)],
+        bid_unlimited=False, offer_unlimited=False, bid_withdrawn=False, offer_withdrawn=False,
+        forced_buy_hour=0, forced_sell_hour=0,
+    )
+    if level == 0:
+        orders["forced_buy_hour"] = _oracle_forced_hour(values, h2, {h1}, maximize=False)
+        orders["offer_withdrawn"] = orders["forced_buy_hour"] == 0
+    elif level == 2:
+        before = h2 if mode == "before_h2" else h1
+        orders["forced_sell_hour"] = _oracle_forced_hour(values, before, {h1, h2}, maximize=True)
+        orders["bid_withdrawn"] = orders["forced_sell_hour"] == 0
+    return orders
+
+
+def _oracle_settle(o, prices, level):
+    """Settlement of one strategy-day; end level None on an invariant breach."""
+    p1, p2 = prices[o["h1"] - 1], prices[o["h2"] - 1]
+    bid = not o["bid_withdrawn"] and (o["bid_unlimited"] or p1 <= o["bid_price"])
+    offer = not o["offer_withdrawn"] and (o["offer_unlimited"] or p2 >= o["offer_price"])
+    cash, bought, sold, end = 0.0, 0.0, 0.0, level
+    if o["forced_buy_hour"]:
+        cash -= BUY_FACTOR * prices[o["forced_buy_hour"] - 1]
+        bought += BUY_FACTOR
+        end += 1
+    if o["forced_sell_hour"]:
+        cash += SELL_FACTOR * prices[o["forced_sell_hour"] - 1]
+        sold += SELL_FACTOR
+        end -= 1
+    if bid:
+        cash -= BUY_FACTOR * p1
+        bought += BUY_FACTOR
+        end += 1
+    if offer:
+        cash += SELL_FACTOR * p2
+        sold += SELL_FACTOR
+        end -= 1
+    ok = level in (0, 1, 2) and end in (0, 1, 2)
+    return dict(bid_accepted=bid, offer_accepted=offer, cash_flow=cash,
+                volume_bought=bought, volume_sold=sold, end_level=end if ok else None)
+
+
+def _columns(record, k):
+    return {name: getattr(record, name)[..., k].item() for name in record.__dataclass_fields__}
 
 
 class TestChooseHours:
@@ -56,202 +150,311 @@ class TestChooseHours:
 
 class TestBuildOrders:
     def test_half_full_no_forced_orders(self):
-        orders = build_orders(_qf(4, 30.0), _qf(19, 70.0), BatteryState(1), _median_curve(), 0.8)
-        assert orders.forced_buy_hour is None
-        assert orders.forced_sell_hour is None
-        assert not orders.degenerate
+        orders = _build(_matrix(_median_curve()), 1)
+        assert _one(orders.forced_buy_hour) == 0
+        assert _one(orders.forced_sell_hour) == 0
+        assert not orders.bid_withdrawn.any() and not orders.offer_withdrawn.any()
 
     def test_empty_battery_forced_buy_before_h2(self):
-        curve = _median_curve(4, 10)
-        orders = build_orders(_qf(4, 30.0), _qf(10, 70.0), BatteryState(0), curve, 0.8)
-        assert orders.forced_buy_hour is not None
-        assert orders.forced_buy_hour < 10
-        assert orders.forced_buy_hour != 4
+        orders = _build(_matrix(_median_curve(4, 10)), 0)
+        forced_buy = _one(orders.forced_buy_hour)
+        assert 0 < forced_buy < 10
+        assert forced_buy != 4
 
     def test_alpha_08_quantile_bounds(self):
-        qf1, qf2 = _qf(4, 30.0), _qf(19, 70.0)
-        orders = build_orders(qf1, qf2, BatteryState(1), _median_curve(), 0.8)
-        assert orders.bid_price == qf1.value(0.9)
-        assert orders.offer_price == qf2.value(0.1)
+        qf = _matrix(_median_curve())
+        orders = _build(qf, 1, alpha=0.8)
+        assert _one(orders.bid_price) == qf[3, quantile_index(0.9)]
+        assert _one(orders.offer_price) == qf[18, quantile_index(0.1)]
 
     def test_full_battery_forced_sell_modes(self):
-        curve = _median_curve(5, 20)
-        qf1, qf2 = _qf(5, 30.0), _qf(20, 70.0)
-        strict = StrategyConfig(alpha=0.8, forced_sell_mode="before_h1")
-        loose = StrategyConfig(alpha=0.8, forced_sell_mode="before_h2")
-        o_loose = build_orders(qf1, qf2, BatteryState(2), curve, 0.8, loose)
-        o_strict = build_orders(qf1, qf2, BatteryState(2), curve, 0.8, strict)
-        assert o_loose.forced_sell_hour is not None and o_loose.forced_sell_hour < 20
-        assert o_strict.forced_sell_hour is not None and o_strict.forced_sell_hour < 5
+        qf = _matrix(_median_curve(5, 20))
+        loose = _one(_build(qf, 2, mode="before_h2").forced_sell_hour)
+        strict = _one(_build(qf, 2, mode="before_h1").forced_sell_hour)
+        assert 0 < loose < 20
+        assert 0 < strict < 5
+
+    def test_unknown_forced_sell_mode(self):
+        with pytest.raises(ValueError, match="forced_sell_mode"):
+            _build(_matrix(_median_curve()), 2, mode="after_h2")
 
     def test_degenerate_empty_day_withdraws_offer(self):
         # h2 = 1: no hour precedes it, so the forced buy cannot be placed and
         # the sell offer is withdrawn to protect the state machine.
-        curve = np.linspace(60.0, 30.0, 24)  # max at hour 1, min at hour 24
-        orders = build_orders(_qf(24, 30.0), _qf(1, 60.0), BatteryState(0), curve, 0.8)
-        assert orders.degenerate
-        assert orders.offer_withdrawn
-        assert orders.forced_buy_hour is None
-        entry = settle(orders, np.full(24, 45.0), BatteryState(0))
-        assert entry.end_level in (0, 1, 2)
-        assert not entry.offer_accepted
+        qf = _matrix(np.linspace(60.0, 30.0, 24))  # max at hour 1, min at hour 24
+        orders = _build(qf, 0)
+        assert (_one(orders.h1), _one(orders.h2)) == (24, 1)
+        assert _one(orders.offer_withdrawn)
+        assert _one(orders.forced_buy_hour) == 0
+        day = settle(orders, np.full(24, 45.0), [0])
+        assert _one(day.end_level) in (0, 1, 2)
+        assert not _one(day.offer_accepted)
+
+    def test_forced_hours_found_per_model(self):
+        # Strategies sharing a model share its forced hours, whatever their alpha.
+        curves = [_median_curve(4, 10), _median_curve(6, 15)]
+        matrices = [_matrix(c) for c in curves]
+        hours = [choose_hours(c) for c in curves]
+        model, alphas, level = [0, 1, 0, 1], [0.5, 0.5, 0.98, 0.98], [0, 0, 0, 1]
+        orders = build_orders(matrices, hours, model, alphas, level, "before_h2")
+        for k in range(4):
+            h = hours[model[k]]
+            expect = _oracle_orders(matrices[model[k]], h.h1, h.h2, alphas[k], level[k], "before_h2")
+            assert _columns(orders, k) == expect
 
 
 class TestSettle:
     def test_both_accepted_cash(self):
-        orders = DailyOrders(h1=4, h2=19, bid_price=100.0, offer_price=0.0)
         prices = np.full(24, 50.0)
         prices[3], prices[18] = 20.0, 100.0
-        entry = settle(orders, prices, BatteryState(1))
-        assert entry.bid_accepted and entry.offer_accepted
-        assert entry.cash_flow == pytest.approx(0.9 * 100.0 - 20.0 / 0.9)
-        assert entry.cash_flow == pytest.approx(67.7778, abs=1e-4)
-        assert entry.end_level == 1
+        day = settle(_orders(bid_price=100.0, offer_price=0.0), prices, [1])
+        assert _one(day.bid_accepted) and _one(day.offer_accepted)
+        assert _one(day.cash_flow) == pytest.approx(0.9 * 100.0 - 20.0 / 0.9)
+        assert _one(day.cash_flow) == pytest.approx(67.7778, abs=1e-4)
+        assert _one(day.end_level) == 1
 
     def test_bid_rejected_above_limit(self):
-        orders = DailyOrders(h1=4, h2=19, bid_price=30.0, offer_price=200.0)
-        prices = np.full(24, 35.0)
-        entry = settle(orders, prices, BatteryState(1))
-        assert not entry.bid_accepted
-        assert not entry.offer_accepted
-        assert entry.cash_flow == 0.0
+        day = settle(_orders(bid_price=30.0, offer_price=200.0), np.full(24, 35.0), [1])
+        assert not _one(day.bid_accepted)
+        assert not _one(day.offer_accepted)
+        assert _one(day.cash_flow) == 0.0
 
     def test_weak_inequality_fills(self):
-        orders = DailyOrders(h1=4, h2=19, bid_price=35.0, offer_price=35.0)
-        prices = np.full(24, 35.0)
-        entry = settle(orders, prices, BatteryState(1))
-        assert entry.bid_accepted and entry.offer_accepted
+        day = settle(_orders(bid_price=35.0, offer_price=35.0), np.full(24, 35.0), [1])
+        assert _one(day.bid_accepted) and _one(day.offer_accepted)
 
     def test_forced_buy_cash_and_state(self):
-        orders = DailyOrders(
-            h1=4, h2=19, bid_price=-1000.0, offer_price=1000.0, forced_buy_hour=2
-        )
-        prices = np.full(24, 50.0)
-        entry = settle(orders, prices, BatteryState(0))
-        assert entry.cash_flow == pytest.approx(-50.0 / 0.9)
-        assert entry.cash_flow == pytest.approx(-55.5556, abs=1e-4)
-        assert entry.end_level == 1
+        orders = _orders(bid_price=-1000.0, offer_price=1000.0, forced_buy_hour=2)
+        day = settle(orders, np.full(24, 50.0), [0])
+        assert _one(day.cash_flow) == pytest.approx(-50.0 / 0.9)
+        assert _one(day.cash_flow) == pytest.approx(-55.5556, abs=1e-4)
+        assert _one(day.end_level) == 1
 
     def test_bid_monotone_in_price(self, rng):
         prices = rng.normal(50, 10, 24)
         for bid in np.linspace(0, 100, 21):
-            lo = settle(DailyOrders(h1=4, h2=19, bid_price=bid, offer_price=1e9),
-                        prices, BatteryState(1))
-            hi = settle(DailyOrders(h1=4, h2=19, bid_price=bid + 5.0, offer_price=1e9),
-                        prices, BatteryState(1))
-            assert hi.bid_accepted >= lo.bid_accepted
+            lo = settle(_orders(bid_price=bid, offer_price=1e9), prices, [1])
+            hi = settle(_orders(bid_price=bid + 5.0, offer_price=1e9), prices, [1])
+            assert _one(hi.bid_accepted) >= _one(lo.bid_accepted)
 
     def test_state_invariant_trap(self):
-        # A forced sell from an empty battery is a programming error.
-        orders = DailyOrders(h1=4, h2=19, bid_price=-1e9, offer_price=-1e9,
-                             forced_sell_hour=2)
+        # A forced sell from an empty battery is a programming error; the
+        # message names the day and the strategy.
+        orders = _orders(bid_price=-1e9, offer_price=-1e9, forced_sell_hour=2)
+        with pytest.raises(StateInvariantError, match="day 7, strategy 0"):
+            settle(orders, np.full(24, 50.0), [0], day=7)
         with pytest.raises(StateInvariantError):
-            settle(orders, np.full(24, 50.0), BatteryState(0))
+            settle(_orders(bid_price=-1e9, offer_price=1e9), np.full(24, 50.0), [3])
 
     def test_brute_force_settlement_table(self, rng):
-        """Independent recomputation over random days and states."""
+        """Independent recomputation over random days and states, K strategies a day."""
         for _ in range(300):
             prices = rng.normal(50, 20, 24)
-            level = int(rng.integers(0, 3))
-            curve = rng.normal(50, 10, 24)
-            hours = choose_hours(curve)
-            qf1 = _qf(hours.h1, curve[hours.h1 - 1])
-            qf2 = _qf(hours.h2, curve[hours.h2 - 1])
-            orders = build_orders(qf1, qf2, BatteryState(level), curve, 0.8)
-            entry = settle(orders, prices, BatteryState(level))
+            levels = rng.integers(0, 3, 8)
+            qf = _matrix(rng.normal(50, 10, 24))
+            hours = choose_hours(qf[:, MEDIAN_INDEX])
+            orders = build_orders([qf], [hours], np.zeros(8, int), (0.8,) * 8, levels, "before_h2")
+            day = settle(orders, prices, levels)
+            for k, level in enumerate(levels.tolist()):
+                o = _oracle_orders(qf, hours.h1, hours.h2, 0.8, level, "before_h2")
+                assert _columns(orders, k) == o
+                expect = _oracle_settle(o, prices, level)
+                assert {name: _one(getattr(day, name)[0, k]) for name in expect} == expect
+                assert _one(day.start_level[0, k]) == level
 
-            cash = 0.0
-            expect_level = level
-            p1, p2 = prices[orders.h1 - 1], prices[orders.h2 - 1]
-            if orders.forced_buy_hour is not None:
-                cash -= BUY_FACTOR * prices[orders.forced_buy_hour - 1]
-                expect_level += 1
-            if orders.forced_sell_hour is not None:
-                cash += SELL_FACTOR * prices[orders.forced_sell_hour - 1]
-                expect_level -= 1
-            if not orders.bid_withdrawn and p1 <= orders.bid_price:
-                cash -= BUY_FACTOR * p1
-                expect_level += 1
-            if not orders.offer_withdrawn and p2 >= orders.offer_price:
-                cash += SELL_FACTOR * p2
-                expect_level -= 1
-            assert entry.cash_flow == pytest.approx(cash, abs=1e-12)
-            assert entry.end_level == expect_level
+
+def _flat_or_random_curve():
+    """Median curves with many ties; some put the maximum at hour 1 (no
+    forced buy placeable) or start with hours 1 and 2 as h1 and h2 (no
+    forced sell placeable)."""
+    values = st.lists(st.integers(0, 4), min_size=24, max_size=24)
+    return st.tuples(values, st.sampled_from(["as drawn", "flat", "h2 first", "h1 h2 first"]))
+
+
+def _shape(values, kind):
+    curve = np.array(values, dtype=float)
+    if kind == "flat":
+        curve[:] = 2.0
+    elif kind == "h2 first":
+        curve[0] = 9.0
+    elif kind == "h1 h2 first":
+        curve[0], curve[1] = -9.0, 9.0
+    return curve
+
+
+class TestArrayStepProperty:
+    """The array step equals the per-strategy reference exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        curves=st.lists(_flat_or_random_curve(), min_size=1, max_size=3),
+        widths=st.lists(st.floats(0.0, 30.0), min_size=3, max_size=3),
+        picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(DEFAULT_ALPHAS) - 1),
+                                 st.integers(0, 2)), min_size=1, max_size=12),
+        mode=st.sampled_from(FORCED_SELL_MODES),
+        prices=st.lists(st.floats(-200.0, 400.0), min_size=24, max_size=24),
+    )
+    def test_orders_and_settlement_match_reference(self, curves, widths, picks, mode, prices):
+        matrices = [_matrix(_shape(*c), w) for c, w in zip(curves, widths)]
+        hours = [choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]
+        model = [m % len(matrices) for m, _, _ in picks]
+        alphas = [DEFAULT_ALPHAS[a] for _, a, _ in picks]
+        levels = [level for _, _, level in picks]
+        prices = np.array(prices)
+        orders = build_orders(matrices, hours, model, alphas, levels, mode)
+        day = settle(orders, prices, levels, day=5)
+        for k, (m, alpha, level) in enumerate(zip(model, alphas, levels)):
+            o = _oracle_orders(matrices[m], hours[m].h1, hours[m].h2, alpha, level, mode)
+            assert _columns(orders, k) == o
+            expect = _oracle_settle(o, prices, level)
+            assert {name: _one(getattr(day, name)[0, k]) for name in expect} == expect
+        assert day.day.tolist() == [[5] * len(picks)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        curve=st.lists(st.floats(-50.0, 300.0), min_size=24, max_size=24),
+        prices=st.lists(st.floats(-200.0, 400.0), min_size=24, max_size=24),
+    )
+    def test_price_taker_matches_reference(self, curve, prices):
+        orders = benchmark_orders(curve)
+        hours = choose_hours(curve)
+        o = dict(
+            h1=hours.h1, h2=hours.h2, bid_price=np.inf, offer_price=-np.inf,
+            bid_unlimited=True, offer_unlimited=True, bid_withdrawn=False,
+            offer_withdrawn=False, forced_buy_hour=0, forced_sell_hour=0,
+        )
+        assert _columns(orders, 0) == o
+        day = settle(orders, np.array(prices), [1])
+        expect = _oracle_settle(o, np.array(prices), 1)
+        assert {name: _one(getattr(day, name)) for name in expect} == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        strategies=st.lists(st.tuples(
+            st.integers(-1, 3), st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+        ), min_size=1, max_size=6),
+        prices=st.lists(st.floats(-200.0, 400.0), min_size=24, max_size=24),
+    )
+    def test_invariant_breach_raises(self, strategies, prices):
+        prices = np.array(prices)
+        level, fb, fs, bid, offer = (np.array(c) for c in zip(*strategies))
+        no = np.zeros(len(strategies), dtype=bool)
+        orders = Orders(
+            h1=np.full(len(strategies), 4), h2=np.full(len(strategies), 19),
+            bid_price=np.where(bid, np.inf, -np.inf), offer_price=np.where(offer, -np.inf, np.inf),
+            bid_unlimited=no, offer_unlimited=no, bid_withdrawn=no, offer_withdrawn=no,
+            forced_buy_hour=np.where(fb, 2, 0), forced_sell_hour=np.where(fs, 3, 0),
+        )
+        expect = [_oracle_settle(_columns(orders, k), prices, int(level[k]))
+                  for k in range(len(strategies))]
+        bad = [k for k, e in enumerate(expect) if e["end_level"] is None]
+        if bad:
+            with pytest.raises(StateInvariantError, match=f"day 3, strategy {bad[0]}:"):
+                settle(orders, prices, level, day=3)
+        else:
+            day = settle(orders, prices, level, day=3)
+            for k, e in enumerate(expect):
+                assert {name: _one(getattr(day, name)[0, k]) for name in e} == e
 
 
 class TestBenchmark:
     def test_orders_at_forecast_extremes(self):
-        forecast = _median_curve(4, 19)
-        orders = benchmark_orders(forecast)
-        assert (orders.h1, orders.h2) == (4, 19)
-        assert orders.bid_unlimited and orders.offer_unlimited
+        orders = benchmark_orders(_median_curve(4, 19))
+        assert (_one(orders.h1), _one(orders.h2)) == (4, 19)
+        assert _one(orders.bid_unlimited) and _one(orders.offer_unlimited)
         prices = np.arange(24.0) + 10.0
-        entry = settle(orders, prices, BatteryState(1))
-        assert entry.bid_accepted and entry.offer_accepted
-        assert entry.cash_flow == pytest.approx(0.9 * prices[18] - prices[3] / 0.9)
+        day = settle(orders, prices, [1])
+        assert _one(day.bid_accepted) and _one(day.offer_accepted)
+        assert _one(day.cash_flow) == pytest.approx(0.9 * prices[18] - prices[3] / 0.9)
 
     def test_perfect_foresight(self, rng):
         prices = rng.normal(50, 15, 24)
-        orders = benchmark_orders(prices)
-        entry = settle(orders, prices, BatteryState(1))
-        assert entry.cash_flow == pytest.approx(0.9 * prices.max() - prices.min() / 0.9)
+        day = settle(benchmark_orders(prices), prices, [1])
+        assert _one(day.cash_flow) == pytest.approx(0.9 * prices.max() - prices.min() / 0.9)
 
     def test_constant_prices_lose_money(self):
         prices = np.full(24, 40.0)
-        entry = settle(benchmark_orders(prices), prices, BatteryState(1))
-        assert entry.cash_flow == pytest.approx(40.0 * (0.9 - 1.0 / 0.9))
-        assert entry.cash_flow < 0
+        day = settle(benchmark_orders(prices), prices, [1])
+        assert _one(day.cash_flow) == pytest.approx(40.0 * (0.9 - 1.0 / 0.9))
+        assert _one(day.cash_flow) < 0
+
+
+def _ledger(**columns):
+    """A ledger of given columns; the others are zeros of the same shape."""
+    shape = np.shape(next(iter(columns.values())))
+    return TradeLedger(**{name: np.asarray(columns.get(name, np.zeros(shape)))
+                          for name in LEDGER_COLUMNS})
 
 
 class TestLedger:
-    def _round_trip_entry(self, day=0):
-        orders = DailyOrders(h1=4, h2=19, bid_price=100.0, offer_price=0.0)
+    def _round_trip_day(self, day=0):
         prices = np.full(24, 50.0)
         prices[3], prices[18] = 20.0, 100.0
-        return settle(orders, prices, BatteryState(1), day=day)
+        return settle(_orders(bid_price=100.0, offer_price=0.0), prices, [1], day=day)
 
     def test_profit_per_mwh(self):
-        ledger = TradeLedger()
-        ledger.append(self._round_trip_entry())
+        ledger = TradeLedger.stack([self._round_trip_day()])
         cash = 0.9 * 100.0 - 20.0 / 0.9
         volume = 0.9 + 1.0 / 0.9
-        assert profit_per_mwh(ledger) == pytest.approx(cash / volume)
-        assert profit_per_mwh(ledger) == pytest.approx(33.70, abs=0.005)
+        assert _one(profit_per_mwh(ledger)) == pytest.approx(cash / volume)
+        assert _one(profit_per_mwh(ledger)) == pytest.approx(33.70, abs=0.005)
 
     def test_empty_ledger_rejected(self):
         with pytest.raises(ValueError):
-            profit_per_mwh(TradeLedger())
+            profit_per_mwh(_ledger(cash_flow=np.zeros((0, 1))))
+        with pytest.raises(ValueError):
+            profit_per_mwh(_ledger(cash_flow=np.ones((3, 2))))
 
     def test_ratio_invariance(self):
-        one = TradeLedger()
-        one.append(self._round_trip_entry(0))
-        two = TradeLedger()
-        two.append(self._round_trip_entry(0))
-        two.append(self._round_trip_entry(1))
-        assert profit_per_mwh(one) == pytest.approx(profit_per_mwh(two))
+        one = TradeLedger.stack([self._round_trip_day(0)])
+        two = TradeLedger.stack([self._round_trip_day(0), self._round_trip_day(1)])
+        assert _one(profit_per_mwh(one)) == pytest.approx(_one(profit_per_mwh(two)))
+        assert two.day.tolist() == [[0], [1]]
+
+    def test_totals_sum_in_day_order(self):
+        # Values whose pairwise (np.sum) and sequential totals differ: the
+        # profits keep the sequential one, as profits_by_metric.csv always had.
+        rng = np.random.default_rng(17)
+        n_alphas = 2
+        cash = rng.normal(0.0, 1.0, (500, len(METRICS) * n_alphas)) * 10.0 ** rng.integers(-3, 4, 500)[:, None]
+        bought = rng.choice([0.0, BUY_FACTOR, 2 * BUY_FACTOR], cash.shape)
+        sold = rng.choice([SELL_FACTOR, 2 * SELL_FACTOR], cash.shape)
+        assert any(np.sum(cash[:, k]) != functools.reduce(operator.add, cash[:, k].tolist())
+                   for k in range(cash.shape[1]))
+        expect = [
+            functools.reduce(operator.add, cash[:, k].tolist())
+            / functools.reduce(operator.add, (bought[:, k] + sold[:, k]).tolist())
+            for k in range(cash.shape[1])
+        ]
+        ledger = _ledger(cash_flow=cash, volume_bought=bought, volume_sold=sold)
+        assert profit_per_mwh(ledger).tolist() == expect
+        config = replace(BacktestConfig(), alphas=DEFAULT_ALPHAS[:n_alphas])
+        report = BacktestReport(config=config, n_days=0, ledger=ledger, store=None,
+                                chosen=None, averages=None)
+        assert list(report.profit_table().values()) == expect
+        assert list(report.profit_table()) == [(m, a) for m in METRICS for a in config.alphas]
 
     def test_export(self, tmp_path):
-        ledger = TradeLedger()
-        ledger.append(self._round_trip_entry())
+        ledger = TradeLedger.stack([self._round_trip_day()])
         path = tmp_path / "ledger.csv"
         export_ledger(ledger, path, extra={"model": "hs"})
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("model,day,h1,h2")
         assert len(lines) == 2
+        # no forced order is written as an empty field
+        cash = 0.0 - BUY_FACTOR * 20.0 + SELL_FACTOR * 100.0
+        assert lines[1] == f"hs,0,4,19,100.0,0.0,1,1,,,{cash!r},{BUY_FACTOR!r},{SELL_FACTOR!r},1,1"
 
 
 class TestBatteryFuzz:
     def test_invariant_over_random_days(self, rng):
-        state = BatteryState(1)
+        alphas = (0.5, 0.8, 0.98)
+        level = np.ones(len(alphas), dtype=int)
         for day in range(2000):
             curve = rng.normal(50, 10, 24)
-            prices = rng.normal(50, 25, 24)
-            hours = choose_hours(curve)
-            alpha = float(rng.choice([0.5, 0.8, 0.98]))
-            qf1 = _qf(hours.h1, curve[hours.h1 - 1], width=float(rng.uniform(1, 30)))
-            qf2 = _qf(hours.h2, curve[hours.h2 - 1], width=float(rng.uniform(1, 30)))
-            orders = build_orders(qf1, qf2, state, curve, alpha,
-                                  StrategyConfig(alpha=alpha))
-            entry = settle(orders, prices, state, day=day)
-            assert entry.end_level in (0, 1, 2)
-            state = BatteryState(entry.end_level)
+            qf = _matrix(curve, rng.uniform(1, 30, 24))
+            orders = build_orders([qf], [choose_hours(curve)], [0, 0, 0], alphas, level,
+                                  FORCED_SELL_MODES[day % 2])
+            ledger = settle(orders, rng.normal(50, 25, 24), level, day=day)
+            assert np.isin(ledger.end_level, (0, 1, 2)).all()
+            level = ledger.end_level[0]
