@@ -188,6 +188,7 @@ class _ForecastPipeline:
             pool=pool_X,
             prices=realized,
             bandwidth=self.config.bandwidth,
+            previous=self._contexts or {},
         )
         contexts = {}
         for tag in self.config.model_registry:

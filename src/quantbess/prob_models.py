@@ -8,7 +8,13 @@ Five methods are provided:
 * ``jsu``  -- Johnson SU distribution fitted to the errors by maximum
   likelihood; its quantiles are added to the point forecast.
 * ``qra``  -- quantile regression on a pool of point forecasts, solved exactly
-  as a linear program per quantile.
+  as a linear program per quantile.  ``qra_fit_grid`` fits all 99 at once in
+  four steps (Portnoy & Koenker 1997): preliminary betas (the previous
+  calibration's, or a coarse interior-point grid), a band of rows near each
+  preliminary hyperplane with the rest lumped into two globs, one batched
+  interior-point solve of the band LPs, and an exact KKT certificate over
+  all rows.  A certified fit is the LP's unique optimum, computed from its
+  sorted basis rows, so it does not depend on the start or the solve path.
 * ``sqra`` -- the same regression with the check function smoothed by a
   Gaussian kernel of bandwidth H, solved by damped Newton iterations.
 
@@ -294,69 +300,108 @@ def qra_fit(pool: np.ndarray, prices: np.ndarray, q: float, intercept: bool = Tr
     return beta
 
 
-def _qr_ipm_batch(X, y, qs, max_iter=100, gap_tol=1e-12):
-    """Primal-dual interior-point solve of the quantile-regression dual LPs.
+#: Rows of each quantile's band LP: those nearest its preliminary hyperplane.
+_BAND_ROWS = 150
 
-    All quantiles share the design, so the Newton systems are batched.
-    Returns (betas, duals, converged): the LP multipliers, the feasible dual
-    vectors (for the optimality certificate) and a per-quantile flag.
+#: How far inside (q - 1, q) every basis dual must lie to certify a vertex.
+_DUAL_MARGIN = 1e-9
+
+#: Basis matrices with a smaller ratio of extreme singular values are refused.
+_MIN_RCOND = 1e-10
+
+
+def _fitted(X, beta):
+    """X @ beta per quantile: X shared (m, n) or one per quantile (Q, m, n)."""
+    return beta @ X.T if X.ndim == 2 else np.matmul(X, beta[:, :, None])[:, :, 0]
+
+
+def _weighted_sum(w, A):
+    """sum_i w[k, i] * A[.., i, :] per quantile k: (Q, m) with (m, p) or (Q, m, p)."""
+    return w @ A if A.ndim == 2 else np.matmul(w[:, None, :], A)[:, 0]
+
+
+# An infeasible band LP (b out of reach) makes its iterates diverge until they
+# overflow; `finite` then retires that quantile.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _qr_ipm(X, y, qs, b=None, beta0=None, max_iter=100, gap_tol=1e-12):
+    """Primal-dual interior-point solve of quantile-regression dual LPs,
+
+        max y'a   s.t.   X'a = b,   q - 1 <= a <= q,
+
+    one per quantile, with the Newton systems batched over quantiles.  X is
+    one shared design (m, n) with y (m,), or one design per quantile
+    (Q, m, n) with y (Q, m).  b (Q, n) defaults to 0, where the start a = 0
+    is feasible; otherwise each step shrinks the residual b - X'a.  The
+    equality multipliers are the coefficients; iterates start from beta0
+    (least squares by default).  Returns the betas of the last iterate, NaN
+    where the iterates diverged.
     """
-    m, n = X.shape
     qs = np.asarray(qs, dtype=float)
     Q = qs.size
+    m, n = X.shape[-2:]
+    Y = np.broadcast_to(y, (Q, m))
+    b = np.zeros((Q, n)) if b is None else b
     lo = (qs - 1.0)[:, None]
     hi = qs[:, None]
-    scale = 1.0 + float(np.abs(y).mean())
+    scale = 1.0 + np.abs(Y).mean(axis=1)
+    x_scale = 1.0 + np.abs(X).mean(axis=(-2, -1))
+    # Newton matrices are w @ XX, XX holding each row's outer product x x'.
+    XX = (X[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], n * n)
 
-    a = np.zeros((Q, m))                     # dual vector, X'a = 0 throughout
-    beta = np.tile(np.linalg.lstsq(X, y, rcond=None)[0], (Q, 1))
-    r = y[None, :] - beta @ X.T
+    a = np.zeros((Q, m))
+    if beta0 is None:
+        beta = np.tile(np.linalg.lstsq(X, y, rcond=None)[0], (Q, 1))
+    else:
+        beta = np.array(beta0, dtype=float)
+    r = Y - _fitted(X, beta)
     z1 = np.maximum(-r, 0.0) + 1.0
     z2 = np.maximum(r, 0.0) + 1.0
-    converged = np.zeros(Q, dtype=bool)
+    finite = np.ones(Q, dtype=bool)
 
     for _ in range(max_iter):
         s1 = np.maximum(a - lo, 1e-14)
         s2 = np.maximum(hi - a, 1e-14)
         gap = np.einsum("qm,qm->q", s1, z1) + np.einsum("qm,qm->q", s2, z2)
         dual_res = np.abs(z1 - z2 + r).max(axis=1)
-        converged = (gap <= gap_tol * m * scale) & (dual_res <= 1e-9 * scale)
-        idx = np.flatnonzero(~converged)
+        primal_res = b - _weighted_sum(a, X)
+        converged = (
+            (gap <= gap_tol * m * scale) & (dual_res <= 1e-9 * scale)
+            & (np.abs(primal_res).max(axis=1) <= 1e-9 * m * x_scale)
+        )
+        idx = np.flatnonzero(~converged & finite)
         if idx.size == 0:
             break
+        XI, XXI = (X, XX) if X.ndim == 2 else (X[idx], XX[idx])
         aI, s1I, s2I = a[idx], s1[idx], s2[idx]
-        z1I, z2I, rI = z1[idx], z2[idx], r[idx]
+        z1I, z2I, rI, pI = z1[idx], z2[idx], r[idx], primal_res[idx]
         w_inv = 1.0 / (z1I / s1I + z2I / s2I)
 
-        M = np.einsum("qm,mi,mj->qij", w_inv, X, X)
-        M_chol = None
+        M = _weighted_sum(w_inv, XXI).reshape(idx.size, n, n)
         try:
             M_chol = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            pass
+            M_pinv = None
+        except np.linalg.LinAlgError:     # rank-deficient design
+            M_chol, M_pinv = None, np.linalg.pinv(M)
 
         def newton(g):
-            rhs = np.einsum("qm,mi->qi", w_inv * g, X)
-            if M_chol is not None:
-                half = np.linalg.solve(M_chol, rhs[:, :, None])
-                dbeta = np.linalg.solve(
-                    np.transpose(M_chol, (0, 2, 1)), half
-                )[:, :, 0]
+            rhs = _weighted_sum(w_inv * g, XI) - pI
+            if M_chol is None:
+                dbeta = np.matmul(M_pinv, rhs[:, :, None])[:, :, 0]
             else:
-                dbeta = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-            da = w_inv * (g - dbeta @ X.T)
+                half = np.linalg.solve(M_chol, rhs[:, :, None])
+                dbeta = np.linalg.solve(np.transpose(M_chol, (0, 2, 1)), half)[:, :, 0]
+            da = w_inv * (g - _fitted(XI, dbeta))
             return dbeta, da
 
         def steps(da, dz1, dz2):
-            with np.errstate(divide="ignore"):
-                ap = np.minimum(
-                    np.where(da < 0, s1I / -da, np.inf).min(axis=1),
-                    np.where(da > 0, s2I / da, np.inf).min(axis=1),
-                )
-                ad = np.minimum(
-                    np.where(dz1 < 0, z1I / -dz1, np.inf).min(axis=1),
-                    np.where(dz2 < 0, z2I / -dz2, np.inf).min(axis=1),
-                )
+            ap = np.minimum(
+                np.where(da < 0, s1I / -da, np.inf).min(axis=1),
+                np.where(da > 0, s2I / da, np.inf).min(axis=1),
+            )
+            ad = np.minimum(
+                np.where(dz1 < 0, z1I / -dz1, np.inf).min(axis=1),
+                np.where(dz2 < 0, z2I / -dz2, np.inf).min(axis=1),
+            )
             return np.minimum(1.0, 0.9995 * ap), np.minimum(1.0, 0.9995 * ad)
 
         # predictor (affine scaling: mu = 0, no corrector terms)
@@ -385,60 +430,128 @@ def _qr_ipm_batch(X, y, qs, max_iter=100, gap_tol=1e-12):
         beta[idx] = beta[idx] + ad[:, None] * dbeta
         z1[idx] = z1I + ad[:, None] * dz1
         z2[idx] = z2I + ad[:, None] * dz2
-        r[idx] = y[None, :] - beta[idx] @ X.T
+        r[idx] = Y[idx] - _fitted(XI, beta[idx])
+        finite[idx] = np.isfinite(
+            beta[idx].sum(axis=1) + z1[idx].sum(axis=1) + z2[idx].sum(axis=1)
+        )
 
-    return beta, a, converged
+    beta[~finite] = np.nan
+    return beta
 
 
-def _polish_vertex(X, y, q, beta, a):
-    """Snap an interior-point iterate to the exact LP vertex.
+def _nearest_rows(X, y, beta, n):
+    """Per quantile, the n rows that the iterate beta fits most closely."""
+    r = np.abs(y - _fitted(X, beta))
+    return np.argpartition(r, n - 1, axis=1)[:, :n]
 
-    Interpolates the n observations the iterate fits most closely; accepts the
-    vertex when it does not increase the pinball objective and the duality gap
-    against the feasible dual vector certifies optimality.
+
+def _certify(X, y, qs, basis):
+    """Exact KKT check of the vertices through the given basis rows.
+
+    For each quantile, h = sorted(basis[k]) and beta = solve(X[h], y[h]).
+    With every other row's dual at its bound (q above the fit, q - 1 below),
+    X_h'a_h = -sum_{i not in h} a_i x_i gives the basis duals.  beta is
+    accepted when X_h is well conditioned, no other row has residual exactly
+    0 and every a_h lies inside (q - 1, q) by `_DUAL_MARGIN`; beta is then
+    the LP's unique optimum.  Returns (betas, certified).
+    """
+    Q, n = basis.shape
+    h = np.sort(basis, axis=1)
+    Xh, yh = X[h], y[h]
+    sv = np.linalg.svd(Xh, compute_uv=False)
+    ok = sv[:, -1] > _MIN_RCOND * sv[:, 0]
+    betas = np.full((Q, n), np.nan)
+    betas[ok] = np.linalg.solve(Xh[ok], yh[ok][:, :, None])[:, :, 0]
+    r = y - betas @ X.T
+    a = np.where(r > 0, qs[:, None], qs[:, None] - 1.0)
+    zero = r == 0
+    np.put_along_axis(a, h, 0.0, axis=1)
+    np.put_along_axis(zero, h, False, axis=1)
+    a_h = np.full((Q, n), np.nan)
+    a_h[ok] = -np.linalg.solve(np.transpose(Xh[ok], (0, 2, 1)), (a[ok] @ X)[:, :, None])[:, :, 0]
+    with np.errstate(invalid="ignore"):
+        inside = (a_h > (qs - 1.0 + _DUAL_MARGIN)[:, None]) & (a_h < (qs - _DUAL_MARGIN)[:, None])
+    return betas, ok & ~zero.any(axis=1) & inside.all(axis=1)
+
+
+def _band_basis(X, y, qs, prelim):
+    """Basis rows from one batched solve of each quantile's band LP.
+
+    The band holds the `_BAND_ROWS` rows with the smallest leverage-scaled
+    residual |r_i| / sqrt(h_i) under the preliminary betas, where h_i is
+    x_i'(X'X)^-1 x_i.  Every other row is taken to stay on its side, so its
+    dual is fixed at q (above) or q - 1 (below) and moves to the right-hand
+    side: the band LP is  max y_B'a  s.t.  X_B'a = -sum_{i not in B} a_i x_i.
     """
     m, n = X.shape
-    r = y - X @ beta
-    order = np.argsort(np.abs(r))
-    basis = order[:n]
-    try:
-        beta_v = np.linalg.solve(X[basis], y[basis])
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(beta_v).all():
-        return None
-    f_v = pinball_sum(beta_v, X, y, q)
-    if f_v > pinball_sum(beta, X, y, q):
-        return None
-    dual_bound = float(y @ a)
-    if f_v - dual_bound > 1e-7 * (1.0 + abs(f_v)):
-        return None
-    return beta_v
+    k = min(_BAND_ROWS, m)
+    leverage = np.maximum(np.sum(np.linalg.qr(X)[0] ** 2, axis=1), np.finfo(float).tiny)
+    r = y - prelim @ X.T
+    band = np.argpartition(r * r / leverage, k - 1, axis=1)[:, :k]
+    a_out = np.where(r > 0, qs[:, None], qs[:, None] - 1.0)
+    np.put_along_axis(a_out, band, 0.0, axis=1)
+    betas = _qr_ipm(X[band], y[band], qs, b=-(a_out @ X), beta0=prelim)
+    nearest = _nearest_rows(X[band], y[band], betas, n)
+    return np.take_along_axis(band, nearest, axis=1)
 
 
-def qra_fit_grid(pool: np.ndarray, prices: np.ndarray, qs=QUANTILE_GRID, intercept: bool = True) -> np.ndarray:
-    """All per-quantile exact fits, batched.
+def qra_fit_grid(
+    pool: np.ndarray,
+    prices: np.ndarray,
+    qs=QUANTILE_GRID,
+    intercept: bool = True,
+    start: np.ndarray | None = None,
+) -> np.ndarray:
+    """All per-quantile exact fits, batched; rows follow `qs`.
 
-    The batched interior-point pass solves every quantile at once; each
-    solution is polished to its LP vertex and certified by the duality gap.
-    Quantiles failing certification are re-solved with the simplex LP.
+    1. Preliminary betas: `start` (for instance the previous window's fit),
+       or else the batched interior-point solve of every 5th quantile and
+       the last one, interpolated linearly in q.
+    2. Band and globs: per quantile, the rows nearest the preliminary
+       hyperplane by leverage-scaled residual; all other rows are lumped
+       into an "above" and a "below" glob whose duals are fixed.
+    3. Band solve: one batched interior-point solve of all band LPs.
+    4. Exact certificate (`_certify`) of the vertex through the n band rows
+       nearest each solution, checked over all rows.
+
+    A certified vertex is the LP's unique optimum, computed from its sorted
+    basis rows alone, so the result depends only on (pool, prices, q) and
+    not on `start` or on the solve path.  Quantiles that fail go to the
+    interior-point solve on the full design with the same certificate, and
+    then to the simplex LP `qra_fit`.
     """
     pool = np.atleast_2d(np.asarray(pool, dtype=float))
     prices = np.asarray(prices, dtype=float)
     qs = np.asarray(qs, dtype=float)
-    X = _with_intercept(pool) if intercept else pool
+    bad_q = qs[~((qs > 0.0) & (qs < 1.0))]
+    if bad_q.size:
+        raise ValueError(f"q must be in (0, 1), got {bad_q[0]}")
     m, n = pool.shape
+    if prices.shape != (m,):
+        raise ValueError("prices length must match the pool history")
     if m < 10 * n:
         raise InsufficientDataError(f"{m} observations for {n} regressors; need >= {10 * n}")
-    betas, duals, converged = _qr_ipm_batch(X, prices, qs)
-    out = np.empty_like(betas)
-    for i, q in enumerate(qs):
-        polished = None
-        if converged[i]:
-            polished = _polish_vertex(X, prices, q, betas[i], duals[i])
-        out[i] = polished if polished is not None else qra_fit(
-            pool, prices, q, intercept=intercept
-        )
+    X = _with_intercept(pool) if intercept else pool
+    p = X.shape[1]
+    if start is None:
+        coarse = np.unique(np.r_[0 : qs.size : 5, qs.size - 1])
+        coarse = coarse[np.argsort(qs[coarse])]
+        betas = _qr_ipm(X, prices, qs[coarse])
+        prelim = np.column_stack([np.interp(qs, qs[coarse], betas[:, j]) for j in range(p)])
+    else:
+        prelim = np.asarray(start, dtype=float)
+        if prelim.shape != (qs.size, p):
+            raise ValueError(f"start must have shape {(qs.size, p)}, got {prelim.shape}")
+
+    out, done = _certify(X, prices, qs, _band_basis(X, prices, qs, prelim))
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        betas = _qr_ipm(X, prices, qs[rest])
+        fits, certified = _certify(X, prices, qs[rest], _nearest_rows(X, prices, betas, p))
+        out[rest[certified]] = fits[certified]
+        done[rest[certified]] = True
+    for i in np.flatnonzero(~done):
+        out[i] = qra_fit(pool, prices, qs[i], intercept=intercept)
     return out
 
 
@@ -570,6 +683,9 @@ class CalibrationInputs:
     prices: np.ndarray | None = None        # (m,) realized prices
     bandwidth: float | None = None
     contexts: dict = field(default_factory=dict)  # tags calibrated earlier today
+    # tag -> context of the previous calibration, a warm start for the same
+    # method on the shifted window (qra starts its band LPs from its betas)
+    previous: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -597,7 +713,9 @@ def _calibrate_jsu(inputs: CalibrationInputs) -> MethodContext:
 
 
 def _calibrate_qra(inputs: CalibrationInputs) -> MethodContext:
-    return MethodContext("qra", betas=qra_fit_grid(inputs.pool, inputs.prices))
+    previous = inputs.previous.get("qra")
+    start = previous.betas if previous is not None else None
+    return MethodContext("qra", betas=qra_fit_grid(inputs.pool, inputs.prices, start=start))
 
 
 def _calibrate_sqra(inputs: CalibrationInputs) -> MethodContext:

@@ -125,16 +125,19 @@ class TestRunBacktest:
 
 
 class TestRunSingleModel:
+    # run_single_model calibrates qra cold on its first day, where
+    # run_backtest starts it from the previous calibration's betas.
     @pytest.mark.parametrize("recalibrate_every", [1, 4])
+    @pytest.mark.parametrize("model", ["cp", "qra"])
     def test_equivalence_with_single_model_registry(
-        self, small_series, small_config, recalibrate_every
+        self, small_series, small_config, model, recalibrate_every
     ):
         config = replace(
-            small_config, model_registry=("cp",), alphas=(0.8,),
+            small_config, model_registry=(model,), alphas=(0.8,),
             recalibrate_every=recalibrate_every,
         )
         full = run_backtest(small_series, config)
-        single = run_single_model(small_series, config, "cp", 0.8)
+        single = run_single_model(small_series, config, model, 0.8)
         assert full.strategies == [(metric, 0.8) for metric in METRICS]
         for k in range(len(METRICS)):
             for name in LEDGER_COLUMNS:

@@ -8,6 +8,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
@@ -101,3 +102,23 @@ def test_every_span_is_called(tmp_path, monkeypatch):
     assert cli.main(["single", *common, "--model", "benchmark",
                      "--output", str(tmp_path / "ledger.csv")]) == 0
     assert {name for name, n in calls.items() if n == 0} == BACKTEST_ONLY
+
+
+def test_qra_fallback_counted_through_module_attribute(monkeypatch):
+    """The tracer counts simplex fallbacks by replacing `prob_models.qra_fit`;
+    the grid must reach the fallback through that attribute.  Duplicated pool
+    columns make every basis singular, so each quantile falls back."""
+    from quantbess import prob_models
+
+    calls = []
+    original = prob_models.qra_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(prob_models, "qra_fit", counted)
+    x = np.random.default_rng(7).normal(50, 10, 120)
+    qs = [0.1, 0.5, 0.9]
+    prob_models.qra_fit_grid(np.column_stack([x, x]), 0.8 * x + np.sin(x), qs)
+    assert calls == qs

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtri
 
+from quantbess import prob_models
+from quantbess.backtest_engine import BacktestConfig, run_backtest
 from quantbess.errors import FitError, InsufficientDataError
+from quantbess.market_data import synth_generate
 from quantbess.prob_models import (
     MEDIAN_INDEX,
     MIN_ERROR_SAMPLE,
@@ -15,6 +18,7 @@ from quantbess.prob_models import (
     JsuParams,
     MethodContext,
     QuantileForecast,
+    _certify,
     cp_offsets,
     cp_quantiles,
     default_bandwidth,
@@ -213,6 +217,17 @@ class TestQra:
             f_single = pinball_sum(qra_fit(pool, y, q), X, y, q)
             assert f_grid == pytest.approx(f_single, rel=1e-10, abs=1e-9)
 
+    def test_grid_rejects_mismatched_prices(self, rng):
+        pool = rng.normal(40, 8, (120, 2))
+        with pytest.raises(ValueError, match="prices length"):
+            qra_fit_grid(pool, rng.normal(40, 8, 119))
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_grid_rejects_q_outside_open_interval(self, rng, q):
+        pool = rng.normal(40, 8, (120, 2))
+        with pytest.raises(ValueError, match="q must be in"):
+            qra_fit_grid(pool, pool.mean(axis=1), [0.5, q])
+
     def test_perturbation_optimality(self, rng):
         pool = rng.normal(30, 5, (80, 2))
         y = pool @ [0.6, 0.5] + rng.normal(0, 2, 80)
@@ -223,6 +238,99 @@ class TestQra:
             for _ in range(100):
                 delta = rng.choice([-1e-4, 1e-4], size=beta.size)
                 assert pinball_sum(beta + delta, X, y, q) >= f0 - 1e-12
+
+
+def _refused(X, y, q, beta) -> bool:
+    """Whether the certificate refuses the vertex through the rows nearest beta."""
+    basis = np.argsort(np.abs(y - X @ beta))[: X.shape[1]]
+    return not _certify(X, y, np.array([q]), basis[None, :])[1][0]
+
+
+class TestQraCertificate:
+    """qra_fit_grid returns certified unique LP optima, or else qra_fit's fit."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+    def test_grid_rows_are_optimal(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(max(60, 10 * n), 201))
+        pool = rng.normal(50, 10, (m, n))
+        prices = pool @ rng.uniform(0, 1, n) + rng.standard_t(3, m) * 5.0
+        X = np.column_stack([np.ones(m), pool])
+        for q, beta in zip(QUANTILE_GRID, qra_fit_grid(pool, prices)):
+            f0 = pinball_sum(beta, X, prices, q)
+            assert f0 == pytest.approx(
+                pinball_sum(qra_fit(pool, prices, q), X, prices, q), rel=1e-10
+            )
+            # criterion 2: no perturbation of the coefficients does better
+            r = prices[None, :] - (beta + rng.uniform(-1e-4, 1e-4, (1000, n + 1))) @ X.T
+            losses = np.where(r >= 0, q * r, (q - 1.0) * r).sum(axis=1)
+            assert (losses >= f0 - 1e-12 * (1.0 + abs(f0))).all()
+
+    def test_duplicated_columns_fall_back(self, rng):
+        """X_h is singular: the optimum is a line, not a point."""
+        x = rng.normal(50, 10, 200)
+        y = 0.8 * x + rng.normal(0, 5, 200)
+        pool = np.column_stack([x, x])
+        X = np.column_stack([np.ones(200), pool])
+        qs = QUANTILE_GRID[::12]
+        for q, beta in zip(qs, qra_fit_grid(pool, y, qs)):
+            expected = qra_fit(pool, y, q)
+            assert np.array_equal(beta, expected)
+            assert _refused(X, y, q, expected)
+
+    def test_intercept_only_integer_mq_falls_back(self, rng):
+        """With m*q an integer every point between two order statistics is
+        optimal; each vertex has its basis dual on a bound."""
+        y = rng.normal(0, 1, 40)
+        ones = np.ones((40, 1))
+        qs = np.array([0.25, 0.5, 0.75])
+        for q, beta in zip(qs, qra_fit_grid(ones, y, qs, intercept=False)):
+            expected = qra_fit(ones, y, q, intercept=False)
+            assert np.array_equal(beta, expected)
+            assert _refused(ones, y, q, expected)
+
+    def test_zero_residual_off_basis_falls_back(self, rng):
+        """The median of 41 values is unique, but a tie puts a second row on it."""
+        y = rng.normal(0, 1, 41)
+        y[np.argsort(y)[21]] = np.sort(y)[20]
+        ones = np.ones((41, 1))
+        expected = qra_fit(ones, y, 0.5, intercept=False)
+        assert expected[0] == np.sort(y)[20]
+        assert np.array_equal(qra_fit_grid(ones, y, [0.5], intercept=False)[0], expected)
+        assert _refused(ones, y, 0.5, expected)
+
+
+#: Short qra-only backtests whose calibration windows hold 192 and 4,368 rows.
+PATH_CONFIGS = {
+    192: BacktestConfig(point_window=56, prob_window=8, metric_window=1,
+                        pool_window_lengths=(30, 56), alphas=(0.5,), model_registry=("qra",)),
+    4368: BacktestConfig(metric_window=1, alphas=(0.5,), model_registry=("qra",)),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(PATH_CONFIGS))
+@pytest.mark.parametrize("regime", ["low", "high", "spiky"])
+def test_qra_fit_does_not_depend_on_start(monkeypatch, regime, rows):
+    """The engine starts each qra calibration from the previous one; a cold
+    start and a bad start (zeros) give the same bits."""
+    config = PATH_CONFIGS[rows]
+    calls = []
+    grid = prob_models.qra_fit_grid
+
+    def recording(pool, prices, start=None):
+        betas = grid(pool, prices, start=start)
+        calls.append((pool, prices, start, betas))
+        return betas
+
+    monkeypatch.setattr(prob_models, "qra_fit_grid", recording)
+    run_backtest(synth_generate(config.first_trading_day + 1, seed=5, regime=regime), config)
+    monkeypatch.undo()
+    (_, _, first_start, previous), (pool, prices, start, betas) = calls[0], calls[-1]
+    assert first_start is None and start is not None
+    assert pool.shape[0] == rows
+    for other in (None, previous, np.zeros_like(previous)):
+        assert np.array_equal(qra_fit_grid(pool, prices, start=other), betas)
 
 
 class TestSqra:
