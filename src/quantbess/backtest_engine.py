@@ -7,6 +7,13 @@ Timeline for day indices (0-based), with defaults 364/182/30:
 * day >= ... + metric_window + 1              -- trading (selection needs a full
   score window ending the previous day)
 
+`run_backtest` makes point forecasts from the first day, since its first
+calibration window needs them.  `run_single_model` starts at the first day it
+reads: the first trading day for the benchmark, else the first day of the
+calibration window of the first trading day.  Either fits the whole pool only
+when a method outside `prob_models.OFFSET_METHODS` reads it, and the primary
+variant alone otherwise.
+
 Forecasts for day d use only data through day d-1 plus day d's load forecast;
 scores for day d are added after day d has been traded, so selection never
 sees same-day information.
@@ -67,12 +74,20 @@ class BacktestConfig:
                        f"{prob_models.MIN_ERROR_SAMPLE} residuals")
         if self.metric_window < 1:
             out.append("metric_window must be >= 1")
-        if not self.pool_window_lengths:
+        pool = tuple(self.pool_window_lengths)
+        short = sorted({w for w in pool if w < point_model.MIN_CALIBRATION_DAYS})
+        if short:
+            out.append(f"pool window(s) {short} below minimum "
+                       f"{point_model.MIN_CALIBRATION_DAYS}")
+        repeated = sorted({w for w in pool if pool.count(w) > 1})
+        if repeated:
+            out.append(f"pool window(s) {repeated} given more than once")
+        if not pool:
             out.append("pool_window_lengths must be non-empty")
-        elif self.point_window not in self.pool_window_lengths:
+        elif self.point_window not in pool:
             out.append("point_window must be one of pool_window_lengths "
                        "(it provides the primary point forecast)")
-        elif self.point_window < max(self.pool_window_lengths):
+        elif self.point_window < max(pool):
             out.append("point_window must cover the longest pool window")
         if not self.model_registry:
             out.append("model_registry must be non-empty")
@@ -148,12 +163,19 @@ def _stage(day, stage, fn, *args, **kwargs):
 
 
 class _ForecastPipeline:
-    """Shared per-day machinery: pool forecasts, residuals, model contexts."""
+    """Shared per-day machinery: pool forecasts, residuals, model contexts.
 
-    def __init__(self, series: MarketSeries, config: BacktestConfig):
+    `registry` holds the methods to calibrate, in order.  The pool's other
+    variants are fitted only when one of them reads the pool.
+    """
+
+    def __init__(self, series: MarketSeries, config: BacktestConfig, registry: tuple):
         self.series = series
         self.config = config
-        self.pool_hist = {}     # day -> (n_var, 24)
+        self.registry = registry
+        reads_pool = not set(registry) <= set(prob_models.OFFSET_METHODS)
+        self.solve = None if reads_pool else (config.point_window,)
+        self.pool_hist = {}     # day -> (n_var, 24), only when the pool is read
         self.primary_hist = {}  # day -> (24,)
         self._contexts = None
         self._calib_day = None
@@ -161,27 +183,40 @@ class _ForecastPipeline:
     def advance_point(self, d: int) -> None:
         pool, failures = _stage(
             d, "point-pool", point_model.forecast_pool,
-            self.series, d, self.config.pool_window_lengths,
+            self.series, d, self.config.pool_window_lengths, self.solve,
         )
         if failures:
             raise BacktestStageError(
                 d, "point-pool", f"pool variants failed: {sorted(failures)}"
             )
-        self.pool_hist[d] = pool.values
+        if self.solve is None:
+            self.pool_hist[d] = pool.values
         self.primary_hist[d] = pool.variant(self.config.point_window)
 
+    def calibration_day(self, d: int) -> int:
+        """The last day on the schedule that recalibrates every
+        `recalibrate_every` days from the first forecast day, up to day d."""
+        return d - (d - self.config.first_forecast_day) % self.config.recalibrate_every
+
+    def first_day_read(self, d: int) -> int:
+        """The first day whose point forecasts day d's forecasts read."""
+        if not self.registry:
+            return d
+        return self.calibration_day(d) - self.config.prob_window
+
     def contexts_for(self, d: int) -> dict:
-        """Model contexts for day d, calibrated on the window of the last day
-        on the schedule that recalibrates every `recalibrate_every` days from
-        the first forecast day, whichever day the caller starts at."""
-        calib_day = d - (d - self.config.first_forecast_day) % self.config.recalibrate_every
+        """Model contexts for day d, calibrated on the window of its
+        calibration day, whichever day the caller starts at."""
+        calib_day = self.calibration_day(d)
         if calib_day == self._calib_day:
             return self._contexts
         window_days = range(calib_day - self.config.prob_window, calib_day)
         residuals = np.concatenate([
             self.series.prices[t] - self.primary_hist[t] for t in window_days
         ])
-        pool_X = np.vstack([self.pool_hist[t].T for t in window_days])
+        pool_X = None
+        if self.solve is None:
+            pool_X = np.vstack([self.pool_hist[t].T for t in window_days])
         realized = self.series.prices[window_days.start : calib_day].reshape(-1)
         inputs = CalibrationInputs(
             errors=ErrorSample(residuals),
@@ -191,7 +226,7 @@ class _ForecastPipeline:
             previous=self._contexts or {},
         )
         contexts = {}
-        for tag in self.config.model_registry:
+        for tag in self.registry:
             inputs.contexts = contexts
             contexts[tag] = _stage(d, f"calibrate:{tag}", get_calibrator(tag), inputs)
         self._contexts = contexts
@@ -205,9 +240,9 @@ class _ForecastPipeline:
         matrices = [
             _stage(
                 d, f"forecast:{tag}", prob_models.quantile_matrix,
-                contexts[tag], self.primary_hist[d], self.pool_hist[d],
+                contexts[tag], self.primary_hist[d], self.pool_hist.get(d),
             )
-            for tag in self.config.model_registry
+            for tag in self.registry
         ]
         return matrices, [bess_trading.choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]
 
@@ -217,8 +252,8 @@ def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> 
     config = config or BacktestConfig()
     config.validate(series.n_days)
 
-    pipeline = _ForecastPipeline(series, config)
     registry = config.model_registry
+    pipeline = _ForecastPipeline(series, config, registry)
     store = ScoreStore(registry, config.alphas, range(config.first_forecast_day, series.n_days))
     # strategies run metric-major, alpha-minor, as chosen.ravel() does
     alphas = tuple(config.alphas) * len(METRICS)
@@ -275,19 +310,22 @@ def run_single_model(
     the ledger holds one strategy.
 
     `model` may also be "benchmark": price-taker orders at the extremes of
-    the primary point forecast.  The day loop is run_backtest's without
-    scoring, so no forecasts are made for the score warm-up days.
+    the primary point forecast.  Nothing is scored, so the loop starts at the
+    first day it reads: the benchmark fits the primary variant on the trading
+    days only; a model fits, from the first day of the first trading day's
+    calibration window, the primary variant when it is in
+    `prob_models.OFFSET_METHODS` and the whole pool otherwise.
     """
     config = replace(config or BacktestConfig(), alphas=(alpha,))
     if model != "benchmark":
         config = replace(config, model_registry=(model,))
     config.validate(series.n_days)
 
-    pipeline = _ForecastPipeline(series, config)
+    pipeline = _ForecastPipeline(series, config, () if model == "benchmark" else (model,))
     level = np.ones(1, dtype=int)
     days = []
 
-    for d in range(config.first_point_day, series.n_days):
+    for d in range(pipeline.first_day_read(config.first_trading_day), series.n_days):
         pipeline.advance_point(d)
         if d < config.first_trading_day:
             continue

@@ -16,6 +16,10 @@ of R are those of X and set the rank by lstsq's rule, s > eps * max(m, 14) *
 s_max for m usable days.  Full-rank hours are solved from R; rank-deficient
 ones take `calibrate`'s column-proportional ridge.  Hour 24 is always rank
 deficient, since its y_lag1 and y_eod are the same price.
+
+A caller that reads only some variants names them in `solve`.  The QR chain
+still runs over every window, so each solved variant is bitwise the one the
+full pool gives; only the rank test, the solve and the forecasts shrink.
 """
 from __future__ import annotations
 
@@ -206,9 +210,12 @@ def predict_day(series: MarketSeries, d: int, params_by_hour) -> np.ndarray:
     return out
 
 
-def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WINDOWS):
+def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WINDOWS,
+                  solve=None):
     """Point forecasts for day d from the model calibrated on each window length.
 
+    `solve` names the window lengths to fit, a subset of `window_lengths`
+    (default: all of them); the result and the failures cover those alone.
     Returns (PointForecastSet, failures) where failures maps a dropped window
     length to the error that removed it.  Each window's forecasts equal those
     of `calibrate` and `predict_day` up to rounding; see the module docstring
@@ -217,6 +224,9 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
     window_lengths = tuple(window_lengths)
     if not window_lengths:
         raise ValueError("window_lengths must be non-empty")
+    solve = window_lengths if solve is None else tuple(solve)
+    if not solve or not set(solve) <= set(window_lengths):
+        raise ValueError(f"solve {solve} must name some of the window lengths {window_lengths}")
     if d < max(window_lengths):
         raise InsufficientDataError(
             f"day {d} precedes the longest calibration window ({max(window_lengths)})"
@@ -228,17 +238,20 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
     failures, starts = {}, {}
     for i, length in enumerate(window_lengths):
         start = max(window(series, d - 1, length).first_day, FEATURE_LAG) - first
-        if n_rows - start < MIN_CALIBRATION_DAYS:
+        if n_rows - start >= MIN_CALIBRATION_DAYS:
+            starts[i] = start
+        elif length in solve:
             failures[length] = InsufficientDataError(
                 f"{n_rows - start} usable days in window; need >= {MIN_CALIBRATION_DAYS}"
             )
-        else:
-            starts[i] = start
+    # the QR chain runs over every window, so a solved variant does not
+    # depend on which others are solved
+    factors = _r_factors(Xy, set(starts.values()))
+    starts = {i: s for i, s in starts.items() if window_lengths[i] in solve}
     if not starts:
         raise CalibrationError(f"day {d}: every pool variant failed: {failures}")
 
     n = N_COEFFICIENTS
-    factors = _r_factors(Xy, set(starts.values()))
     R = np.stack([factors[s] for s in starts.values()])  # (variants, 24, 15, 15)
     sv = np.linalg.svd(R[..., :n, :n], compute_uv=False)
     rows = n_rows - np.fromiter(starts.values(), dtype=int)

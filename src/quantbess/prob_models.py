@@ -43,6 +43,10 @@ MIN_ERROR_SAMPLE = 100
 
 METHODS = ("hs", "cp", "jsu", "qra", "sqra")
 
+#: Methods whose calibration reads only the primary forecast's residuals and
+#: whose quantiles read only the primary forecast; the others need the pool.
+OFFSET_METHODS = ("hs", "cp", "jsu")
+
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -679,7 +683,8 @@ class CalibrationInputs:
     """Everything a method may need from the probabilistic window."""
 
     errors: ErrorSample | None = None
-    pool: np.ndarray | None = None          # (m, n_variants) history
+    pool: np.ndarray | None = None          # (m, n_variants) history; None when
+                                            # every method is in OFFSET_METHODS
     prices: np.ndarray | None = None        # (m,) realized prices
     bandwidth: float | None = None
     contexts: dict = field(default_factory=dict)  # tags calibrated earlier today
@@ -738,7 +743,11 @@ _CALIBRATORS = {
 
 
 def register_method(tag: str, calibrator) -> None:
-    """Add a custom probabilistic method usable in a backtest registry."""
+    """Add a custom probabilistic method usable in a backtest registry.
+
+    A tag in OFFSET_METHODS stays there: a run whose registry holds only
+    such tags passes their calibrators no pool.
+    """
     _CALIBRATORS[tag] = calibrator
 
 

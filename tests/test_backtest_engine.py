@@ -14,7 +14,15 @@ from quantbess.backtest_engine import (
     run_single_model,
     write_report,
 )
-from quantbess.bess_trading import LEDGER_COLUMNS, choose_hours, profit_per_mwh
+from quantbess.bess_trading import (
+    LEDGER_COLUMNS,
+    TradeLedger,
+    benchmark_orders,
+    build_orders,
+    choose_hours,
+    profit_per_mwh,
+    settle,
+)
 from quantbess.errors import ConfigError
 from quantbess.eval_metrics import (
     METRICS,
@@ -26,7 +34,15 @@ from quantbess.eval_metrics import (
     sp_pinball_sell,
 )
 from quantbess.market_data import synth_generate
-from quantbess.prob_models import MEDIAN_INDEX, QuantileForecast
+from quantbess.point_model import forecast_pool
+from quantbess.prob_models import (
+    MEDIAN_INDEX,
+    CalibrationInputs,
+    ErrorSample,
+    QuantileForecast,
+    get_calibrator,
+    quantile_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +84,15 @@ class TestConfig:
     def test_point_window_must_be_in_pool(self):
         config = BacktestConfig(point_window=100, pool_window_lengths=(56, 84))
         assert any("pool_window_lengths" in p for p in config.problems())
+
+    @pytest.mark.parametrize("windows, problem", [
+        ((20, 56), "pool window(s) [20] below minimum 30"),
+        ((56, 56), "pool window(s) [56] given more than once"),
+    ])
+    def test_bad_pool_windows_reported(self, small_config, windows, problem):
+        # (20, 56) used to pass and abort the run at its first pool day
+        config = replace(small_config, pool_window_lengths=windows)
+        assert config.problems(synth_generate(110, seed=0).n_days) == [problem]
 
     def test_as_dict_round_trip(self, small_config):
         values = small_config.as_dict()
@@ -145,6 +170,18 @@ class TestRunSingleModel:
                     getattr(single, name)[:, 0].tolist()
                 ), name
 
+    @pytest.mark.parametrize("model, recalibrate_every", [
+        ("benchmark", 1), ("hs", 1), ("hs", 4),
+    ])
+    def test_matches_full_schedule(self, small_series, small_config, model, recalibrate_every):
+        # Day 77 is off the 4-day schedule from day 71: it is calibrated on
+        # day 75's window, which starts at day 67.
+        config = replace(small_config, alphas=(0.8,), recalibrate_every=recalibrate_every)
+        want = _full_schedule_single(small_series, config, model)
+        got = run_single_model(small_series, config, model, 0.8)
+        for name in LEDGER_COLUMNS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_benchmark_all_accepted(self, small_series, small_config):
         ledger = run_single_model(small_series, small_config, "benchmark", 0.8)
         assert ledger.day[:, 0].tolist() == list(range(small_config.first_trading_day, 90))
@@ -153,6 +190,37 @@ class TestRunSingleModel:
     def test_unknown_model_rejected(self, small_series, small_config):
         with pytest.raises(ConfigError):
             run_single_model(small_series, small_config, "oracle", 0.8)
+
+
+def _full_schedule_single(series, config, model):
+    """run_single_model's reference: the whole pool on every day from the
+    first point day, calibrations on the schedule from the first forecast day."""
+    primary, pool = {}, {}
+    level, days, calibrated = np.ones(1, dtype=int), [], None
+    for d in range(config.first_point_day, series.n_days):
+        forecasts, _ = forecast_pool(series, d, config.pool_window_lengths)
+        primary[d], pool[d] = forecasts.variant(config.point_window), forecasts.values
+        if d < config.first_trading_day:
+            continue
+        if model == "benchmark":
+            orders = benchmark_orders(primary[d])
+        else:
+            calib_day = d - (d - config.first_forecast_day) % config.recalibrate_every
+            if calib_day != calibrated:
+                window_days = range(calib_day - config.prob_window, calib_day)
+                ctx = get_calibrator(model)(CalibrationInputs(
+                    errors=ErrorSample(np.concatenate(
+                        [series.prices[t] - primary[t] for t in window_days])),
+                    pool=np.vstack([pool[t].T for t in window_days]),
+                    prices=series.prices[window_days.start:calib_day].reshape(-1),
+                ))
+                calibrated = calib_day
+            qf = quantile_matrix(ctx, primary[d], pool[d])
+            orders = build_orders([qf], [choose_hours(qf[:, MEDIAN_INDEX])], [0],
+                                  config.alphas, level, config.forced_sell_mode)
+        days.append(settle(orders, series.prices[d], level, d))
+        level = days[-1].end_level[0]
+    return TradeLedger.stack(days)
 
 
 class TestNoLookAhead:

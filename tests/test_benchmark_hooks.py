@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quantbess import point_model
+
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
 
@@ -67,14 +69,24 @@ SINGLE_ONLY = {
 def test_every_span_is_called(tmp_path, monkeypatch):
     """A hook the program no longer calls through its module attribute would
     read 0 in the benchmark's per-layer metrics: count the calls of every
-    span on a tiny `quantbess backtest` and `quantbess single --model benchmark`."""
+    span on a tiny `quantbess backtest` and `quantbess single --model benchmark`.
+    Neither reads the pool's 30-day variant, so neither solves it."""
     from quantbess import cli, market_data
 
     data, config = tmp_path / "series.csv", tmp_path / "tiny.cfg"
     market_data.export_csv(market_data.synth_generate(84, seed=3), data)
     config.write_text(TINY_CONFIG)
 
-    calls = {}
+    calls, solved = {}, []
+
+    def keep_variants(fn):
+        def solving(*args, **kwargs):
+            pool, failures = fn(*args, **kwargs)
+            solved.append(pool.window_lengths)
+            return pool, failures
+        return solving
+
+    monkeypatch.setattr(point_model, "forecast_pool", keep_variants(point_model.forecast_pool))
     for module_name, attr in _tables()["SPANS"]:
         owner = importlib.import_module(f"quantbess.{module_name}")
         *path, leaf = attr.split(".")
@@ -97,11 +109,17 @@ def test_every_span_is_called(tmp_path, monkeypatch):
     # one order step per trading day, for all strategies at once
     assert calls["bess_trading.build_orders"] == calls["model_selector.ScoreStore.select"]
     assert calls["bess_trading.settle"] == calls["model_selector.ScoreStore.select"]
+    # hs and cp read only the primary (56-day) variant, from day 63 on
+    assert solved == [(56,)] * (84 - 63)
 
     calls.update(dict.fromkeys(calls, 0))
+    solved.clear()
     assert cli.main(["single", *common, "--model", "benchmark",
                      "--output", str(tmp_path / "ledger.csv")]) == 0
     assert {name for name, n in calls.items() if n == 0} == BACKTEST_ONLY
+    # one primary forecast per trading day, days 77-83
+    assert calls["point_model.forecast_pool"] == calls["bess_trading.settle"] == 84 - 77
+    assert solved == [(56,)] * (84 - 77)
 
 
 def test_qra_fallback_counted_through_module_attribute(monkeypatch):

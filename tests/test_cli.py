@@ -128,6 +128,13 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert "metric_window" in err and "0.85" in err
 
+    def test_short_pool_window_exit_2(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("= 30, 56", "= 20, 56"))
+        code = main(["backtest", "--data", str(dataset), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "pool window(s) [20]" in capsys.readouterr().err
+
     def test_seed_is_not_a_setting(self, dataset, config_file, tmp_path, capsys):
         cfg = tmp_path / "seeded.cfg"
         cfg.write_text(config_file.read_text() + "seed = 3\n")

@@ -287,6 +287,47 @@ class TestForecastPoolMatchesPerHourFits:
             forecast_pool(series, 36, (36, 30))
 
 
+class TestPartialPool:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        regime=st.sampled_from(["low", "high", "spiky"]),
+        seed=st.integers(0, 10_000),
+        offset=st.integers(0, 35),
+        data=st.data(),
+    )
+    def test_solved_variants_equal_full_pool(self, regime, seed, offset, data):
+        window_lengths = data.draw(st.sampled_from([DEFAULT_POOL_WINDOWS, (30, 56)]))
+        solve = data.draw(st.sets(st.sampled_from(window_lengths), min_size=1))
+        series = synth_generate(400, seed=seed, regime=regime)
+        d = 364 + offset
+        full, _ = forecast_pool(series, d, window_lengths)
+        part, failures = forecast_pool(series, d, window_lengths, solve)
+        assert failures == {}
+        assert part.window_lengths == tuple(w for w in window_lengths if w in solve)
+        for length, values in zip(part.window_lengths, part.values):
+            assert np.array_equal(values, full.variant(length)), length
+
+    def test_primary_only(self):
+        series = synth_generate(400, seed=4, regime="spiky")
+        full, _ = forecast_pool(series, 380)
+        part, _ = forecast_pool(series, 380, solve=(364,))
+        assert part.window_lengths == (364,)
+        assert np.array_equal(part.values[0], full.variant(364))
+
+    def test_failures_cover_solved_variants(self):
+        # Window 25 keeps 25 usable days and fails only when it is solved.
+        series = synth_generate(60, seed=2)
+        pool, failures = forecast_pool(series, 45, (45, 25), solve=(45,))
+        assert pool.window_lengths == (45,) and failures == {}
+        with pytest.raises(CalibrationError, match="every pool variant failed"):
+            forecast_pool(series, 45, (45, 25), solve=(25,))
+
+    @pytest.mark.parametrize("solve", [(), (84,)])
+    def test_solve_outside_window_lengths(self, solve):
+        with pytest.raises(ValueError, match="solve"):
+            forecast_pool(synth_generate(400, seed=1), 380, (56, 364), solve)
+
+
 class TestDump:
     def test_coefficient_csv(self, tmp_path):
         series = synth_generate(120, seed=1)
