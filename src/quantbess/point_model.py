@@ -7,14 +7,22 @@ produced by calibrating the same model on several window lengths.
 
 `calibrate` fits one hour on one window with `lstsq`; with `predict_day` it is
 the reference for `forecast_pool`, which fits all 24 hours of every pool
-window together.  All pool windows end the day before the forecast day, so
-`forecast_pool` builds the (24, days, 14) design tensor of the longest window
-once and each window is a suffix of its rows.  A stacked QR of [X | y] gives
-each window's R and Q'y for all 24 hours at once (the QR of a window updates
-the R of the next shorter one with the rows it lacks).  The singular values
-of R are those of X and set the rank by lstsq's rule, s > eps * max(m, 14) *
-s_max for m usable days.  Full-rank hours are solved from R; rank-deficient
-ones take `calibrate`'s column-proportional ridge.  Hour 24 is always rank
+window together.  The (24, days, 15) design-and-target tensor of a series is
+built once, for every day d >= 7, and kept while the series lives; each
+day's windows and features are slices of it.  All pool windows end the day
+before the forecast day, so each window is a suffix of the longest one's
+rows.  A stacked QR of [X | y] gives each window's R and Q'y for all 24
+hours at once (the QR of a window updates the R of the next shorter one
+with the rows it lacks).
+
+The singular values of R are those of X and set the rank by lstsq's rule,
+s_min > eps * max(m, 14) * s_max for m usable days.  Bounds decide it first:
+s_max lies between ||R||_F / sqrt(14) and ||R||_F, and s_min between
+1 / ||R^-1||_F and min |r_ii|.  An hour is deficient when min |r_ii| is well
+below the least threshold the bounds allow, and full rank when
+1 / ||R^-1||_F is well above the greatest; only the hours the bounds leave
+open get an SVD.  Full-rank hours are solved from R; rank-deficient ones
+take `calibrate`'s column-proportional ridge.  Hour 24 is always rank
 deficient, since its y_lag1 and y_eod are the same price.
 
 A caller that reads only some variants names them in `solve`.  The QR chain
@@ -24,6 +32,7 @@ full pool gives; only the rank test, the solve and the forecasts shrink.
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +57,12 @@ FEATURE_NAMES = (
 DEFAULT_POOL_WINDOWS = (56, 84, 112, 182, 364)
 
 _RIDGE_EPS = 1e-8
+
+#: Factor by which `_full_rank`'s bounds must clear the rank threshold.
+_RANK_MARGIN = 4.0
+
+# id(series) -> its `_series_tensor`; an entry goes with its series
+_TENSORS = {}
 
 
 @dataclass(frozen=True)
@@ -232,7 +247,8 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
             f"day {d} precedes the longest calibration window ({max(window_lengths)})"
         )
     first = max(d - max(window_lengths), FEATURE_LAG)
-    Xy = _design_tensor(series, np.arange(first, d), with_target=True)
+    tensor = _series_tensor(series)
+    Xy = tensor[:, first - FEATURE_LAG : d - FEATURE_LAG]
     n_rows = Xy.shape[1]
 
     failures, starts = {}, {}
@@ -253,10 +269,8 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
 
     n = N_COEFFICIENTS
     R = np.stack([factors[s] for s in starts.values()])  # (variants, 24, 15, 15)
-    sv = np.linalg.svd(R[..., :n, :n], compute_uv=False)
     rows = n_rows - np.fromiter(starts.values(), dtype=int)
-    tol = np.finfo(float).eps * np.maximum(rows, n)[:, None] * sv[..., 0]
-    full = (sv > tol[..., None]).all(axis=-1)
+    full = _full_rank(R[..., :n, :n], rows[:, None])
     beta = np.empty(R.shape[:2] + (n,))
     beta[full] = np.linalg.solve(R[full][:, :n, :n], R[full][:, :n, n:])[..., 0]
 
@@ -276,9 +290,48 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
         fitted.append(j)
     if not kept:
         raise CalibrationError(f"day {d}: every pool variant failed: {failures}")
-    x_day = _design_tensor(series, np.array([d]))[:, 0]
+    x_day = tensor[:, d - FEATURE_LAG, :n]
     values = np.einsum("vhk,hk->vh", beta[fitted], x_day)
     return PointForecastSet(day=d, window_lengths=tuple(kept), values=values), failures
+
+
+def _series_tensor(series: MarketSeries) -> np.ndarray:
+    """`_design_tensor` with targets of every day from FEATURE_LAG on,
+    built once per series and dropped when the series is collected."""
+    key = id(series)
+    tensor = _TENSORS.get(key)
+    if tensor is None:
+        tensor = _design_tensor(series, np.arange(FEATURE_LAG, series.n_days), with_target=True)
+        _TENSORS[key] = tensor
+        weakref.finalize(series, _TENSORS.pop, key, None)
+    return tensor
+
+
+def _full_rank(R: np.ndarray, rows) -> np.ndarray:
+    """lstsq's rank rule, s_min > eps * max(rows, n) * s_max, for upper
+    triangular R (..., n, n) with `rows` broadcast to R.shape[:-2].
+
+    Bounds decide most matrices without an SVD: s_max lies in
+    [||R||_F / sqrt(n), ||R||_F], and s_min lies in [1 / ||R^-1||_F,
+    min |r_ii|] (the diagonal holds R's eigenvalues).  R is deficient when
+    min |r_ii| is below the least possible threshold, and full rank when
+    1 / ||R^-1||_F is above the greatest, each by `_RANK_MARGIN`.  The SVD
+    decides the rest.
+    """
+    n = R.shape[-1]
+    eps_rows = np.finfo(float).eps * np.broadcast_to(np.maximum(rows, n), R.shape[:-2])
+    fro = np.linalg.norm(R, axis=(-2, -1))
+    r_min = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1)
+    deficient = r_min * _RANK_MARGIN <= eps_rows * fro / np.sqrt(n)
+    rest = ~deficient
+    full = np.zeros(R.shape[:-2], dtype=bool)
+    inv_fro = np.linalg.norm(np.linalg.inv(R[rest]), axis=(-2, -1))
+    full[rest] = _RANK_MARGIN * eps_rows[rest] * fro[rest] * inv_fro < 1.0
+    undecided = rest & ~full
+    if undecided.any():
+        sv = np.linalg.svd(R[undecided], compute_uv=False)
+        full[undecided] = (sv > (eps_rows[undecided] * sv[:, 0])[:, None]).all(axis=-1)
+    return full
 
 
 def _r_factors(Xy: np.ndarray, starts) -> dict:

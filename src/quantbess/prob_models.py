@@ -16,7 +16,11 @@ Five methods are provided:
   all rows.  A certified fit is the LP's unique optimum, computed from its
   sorted basis rows, so it does not depend on the start or the solve path.
 * ``sqra`` -- the same regression with the check function smoothed by a
-  Gaussian kernel of bandwidth H, solved by damped Newton iterations.
+  Gaussian kernel of bandwidth H (conquer's loss: He, Pan, Tan & Zhou 2021).
+  ``sqra_fit_grid`` solves all 99 quantiles by damped Newton batched over
+  the quantile axis, warm-started from the previous calibration's sqra (or
+  today's qra), and ends each quantile with one free Newton step, so the
+  fit does not depend on its start.
 
 Empirical quantiles use linear interpolation of order statistics (numpy's
 default, the "type 7" rule).  Quantile crossing is resolved by sorting the 99
@@ -491,10 +495,12 @@ def _band_basis(X, y, qs, prelim):
     k = min(_BAND_ROWS, m)
     leverage = np.maximum(np.sum(np.linalg.qr(X)[0] ** 2, axis=1), np.finfo(float).tiny)
     r = y - prelim @ X.T
-    band = np.argpartition(r * r / leverage, k - 1, axis=1)[:, :k]
+    band = np.argpartition(r * r / leverage, k - 1, axis=1)[:, :k].copy()
     a_out = np.where(r > 0, qs[:, None], qs[:, None] - 1.0)
     np.put_along_axis(a_out, band, 0.0, axis=1)
-    betas = _qr_ipm(X[band], y[band], qs, b=-(a_out @ X), beta0=prelim)
+    b = -(a_out @ X)
+    del r, a_out  # (Q, m) arrays: free them before the band solve's peak
+    betas = _qr_ipm(X[band], y[band], qs, b=b, beta0=prelim)
     nearest = _nearest_rows(X[band], y[band], betas, n)
     return np.take_along_axis(band, nearest, axis=1)
 
@@ -584,6 +590,49 @@ def sqra_gradient(beta: np.ndarray, X: np.ndarray, y: np.ndarray, q: float, band
     return -X.T @ (q - ndtr(-r / bandwidth))
 
 
+#: Quantiles per block of `sqra_fit_grid`'s batched Newton solve; keeps its
+#: (block, rows) temporaries below the peak of `qra_fit_grid`.
+_SQRA_BLOCK = 25
+
+#: Relative rounding of the smoothed objective.  A Newton step whose
+#: predicted decrease is smaller cannot be judged by Armijo's test.
+_SQRA_ROUNDING = 1e-13
+
+#: A smoothed fit stops when ||gradient||_inf <= this * m * max(1, std(y)).
+_SQRA_GTOL_SCALE = 1e-9
+
+#: Newton iterations of a smoothed fit before it falls back.
+_SQRA_MAX_ITER = 200
+
+
+def _sqra_design(pool, prices, qs, bandwidth, intercept):
+    """Checked inputs of a smoothed fit: (X, prices, qs)."""
+    pool = np.atleast_2d(np.asarray(pool, dtype=float))
+    prices = np.asarray(prices, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    bad_q = qs[~((qs > 0.0) & (qs < 1.0))]
+    if bad_q.size:
+        raise ValueError(f"q must be in (0, 1), got {bad_q.flat[0]}")
+    m, n = pool.shape
+    if m < 10 * n:
+        raise InsufficientDataError(f"{m} observations for {n} regressors; need >= {10 * n}")
+    return (_with_intercept(pool) if intercept else pool), prices, qs
+
+
+def _sqra_accepts(f, f_new, t, slope, g_inf, g_inf_new):
+    """Line-search test of a damped Newton step of length t.
+
+    Armijo's sufficient decrease, f_new <= f + 1e-4 t slope, where slope is
+    the gradient times the full step.  Where the predicted decrease -slope
+    is below the rounding of f, differences of f are noise, so a step is
+    also taken when it shrinks the gradient's infinity norm.
+    """
+    rounding = -slope < _SQRA_ROUNDING * np.abs(f)
+    return (f_new <= f + 1e-4 * t * slope) | (rounding & (g_inf_new < g_inf))
+
+
 def sqra_fit(
     pool: np.ndarray,
     prices: np.ndarray,
@@ -591,25 +640,18 @@ def sqra_fit(
     bandwidth: float,
     start: np.ndarray | None = None,
     intercept: bool = True,
-    gtol_scale: float = 1e-9,
-    max_iter: int = 200,
+    gtol_scale: float = _SQRA_GTOL_SCALE,
+    max_iter: int = _SQRA_MAX_ITER,
 ) -> np.ndarray:
     """Minimize the smoothed objective by damped Newton with backtracking.
 
     The objective is convex; the Hessian X' diag(phi(z)/H) X gets a small
     ridge when nearly singular (tiny bandwidths flatten it far from the
-    solution).  Falls back to L-BFGS-B before giving up.
+    solution).  Steps are accepted by `_sqra_accepts`.  Falls back to
+    L-BFGS-B before giving up.
     """
-    pool = np.atleast_2d(np.asarray(pool, dtype=float))
-    prices = np.asarray(prices, dtype=float)
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
-    m, n = pool.shape
-    if m < 10 * n:
-        raise InsufficientDataError(f"{m} observations for {n} regressors; need >= {10 * n}")
-    X = _with_intercept(pool) if intercept else pool
+    X, prices, _ = _sqra_design(pool, prices, q, bandwidth, intercept)
+    m = X.shape[0]
     if start is None:
         beta = np.linalg.lstsq(X, prices, rcond=None)[0]
     else:
@@ -617,9 +659,10 @@ def sqra_fit(
 
     gtol = gtol_scale * m * max(1.0, float(np.std(prices)))
     f = sqra_objective(beta, X, prices, q, bandwidth)
+    g = sqra_gradient(beta, X, prices, q, bandwidth)
     for _ in range(max_iter):
-        g = sqra_gradient(beta, X, prices, q, bandwidth)
-        if np.linalg.norm(g, np.inf) <= gtol:
+        g_inf = np.linalg.norm(g, np.inf)
+        if g_inf <= gtol:
             return beta
         z = (prices - X @ beta) / bandwidth
         w = _phi(z) / bandwidth
@@ -629,17 +672,18 @@ def sqra_fit(
             step = np.linalg.solve(hess + ridge * np.eye(X.shape[1]), -g)
         except np.linalg.LinAlgError:
             step = -g
-        # backtracking line search (Armijo)
+        slope = g @ step
         t = 1.0
         while t > 1e-12:
-            f_new = sqra_objective(beta + t * step, X, prices, q, bandwidth)
-            if f_new <= f + 1e-4 * t * (g @ step):
+            trial = beta + t * step
+            f_new = sqra_objective(trial, X, prices, q, bandwidth)
+            g_new = sqra_gradient(trial, X, prices, q, bandwidth)
+            if _sqra_accepts(f, f_new, t, slope, g_inf, np.linalg.norm(g_new, np.inf)):
                 break
             t *= 0.5
         else:
             break
-        beta = beta + t * step
-        f = f_new
+        beta, f, g = trial, f_new, g_new
 
     res = optimize.minimize(
         lambda b: sqra_objective(b, X, prices, q, bandwidth),
@@ -662,16 +706,103 @@ def sqra_fit(
     return beta
 
 
-def sqra_fit_grid(pool, prices, qs=QUANTILE_GRID, bandwidth=None, starts=None, intercept=True):
-    pool = np.atleast_2d(np.asarray(pool, dtype=float))
-    prices = np.asarray(prices, dtype=float)
-    if bandwidth is None:
-        bandwidth = default_bandwidth(prices - pool.mean(axis=1))
-    rows = []
-    for i, q in enumerate(qs):
-        start = None if starts is None else starts[i]
-        rows.append(sqra_fit(pool, prices, q, bandwidth, start=start, intercept=intercept))
-    return np.vstack(rows)
+def _sqra_pass(beta, X, y, qs, bandwidth):
+    """Objective, gradient and Hessian weights phi(z)/H of the smoothed loss
+    at beta (K, p), one row per quantile, from one residual, ndtr and exp
+    pass over the (K, m) residuals."""
+    r = y - beta @ X.T
+    z = r / bandwidth
+    u = qs[:, None] - ndtr(-z)
+    dens = np.exp(-0.5 * z * z) / _SQRT_2PI
+    f = np.sum(bandwidth * dens + r * u, axis=1)
+    return f, -(u @ X), dens / bandwidth
+
+
+def _sqra_newton(X, XX, y, qs, bandwidth, beta, gtol):
+    """Damped Newton on a block of quantiles, batched over the block.
+
+    Each iteration builds the Hessians X' diag(w) X of the unfinished
+    quantiles as w @ XX.  A quantile whose gradient meets `gtol` takes one
+    more Newton step from the gradient and Hessian already evaluated, and
+    is done; the others search along their Newton steps together, one pass
+    per trial point.  Returns (betas, done); a quantile is not done when its
+    line search stalls or `_SQRA_MAX_ITER` iterations run out.
+    """
+    K, p = beta.shape
+    beta = beta.copy()
+    f, g, w = _sqra_pass(beta, X, y, qs, bandwidth)
+    done = np.zeros(K, dtype=bool)
+    active = np.arange(K)
+    for _ in range(_SQRA_MAX_ITER):
+        if not active.size:
+            break
+        g_inf = np.abs(g[active]).max(axis=1)
+        hess = (w[active] @ XX).reshape(-1, p, p)
+        ridge = 1e-12 * np.maximum(1.0, np.trace(hess, axis1=1, axis2=2) / p)
+        try:
+            step = np.linalg.solve(hess + ridge[:, None, None] * np.eye(p),
+                                   -g[active][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = -g[active]
+        met = g_inf <= gtol
+        beta[active[met]] += step[met]
+        done[active[met]] = True
+
+        idx, step, g_inf = active[~met], step[~met], g_inf[~met]
+        slope = np.einsum("kp,kp->k", g[idx], step)
+        t = np.ones(idx.size)
+        moved = np.zeros(idx.size, dtype=bool)
+        trying = np.arange(idx.size)
+        while trying.size:
+            k = idx[trying]
+            trial = beta[k] + t[trying, None] * step[trying]
+            f_new, g_new, w_new = _sqra_pass(trial, X, y, qs[k], bandwidth)
+            ok = _sqra_accepts(f[k], f_new, t[trying], slope[trying],
+                               g_inf[trying], np.abs(g_new).max(axis=1))
+            beta[k[ok]], f[k[ok]], g[k[ok]], w[k[ok]] = trial[ok], f_new[ok], g_new[ok], w_new[ok]
+            moved[trying[ok]] = True
+            trying = trying[~ok]
+            t[trying] *= 0.5
+            trying = trying[t[trying] > 1e-12]
+        active = idx[moved]
+    return beta, done
+
+
+def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None, intercept=True):
+    """All per-quantile smoothed fits, by one damped Newton solve batched
+    over the quantile axis; rows follow `qs`.
+
+    The quantiles are solved in blocks of `_SQRA_BLOCK` by `_sqra_newton`,
+    from `starts` (one row per quantile; least squares by default).  Each
+    trial point of a block costs one residual, `ndtr` and `exp` pass, which
+    gives the objective, the gradient and the Hessian weights together.
+    Steps are accepted by `_sqra_accepts`, and a quantile stops at
+    `sqra_fit`'s default rule, ||g||_inf <= 1e-9 * m * max(1, std(prices)),
+    plus one Newton step from there.  That step is free, and it leaves the
+    result at the optimum to rounding, so it does not depend on the start.
+    A quantile whose line search stalls, or that runs out of iterations,
+    goes to `sqra_fit` from its last iterate, the only path that uses
+    L-BFGS-B.
+    """
+    X, prices, qs = _sqra_design(pool, prices, qs, bandwidth, intercept)
+    m, p = X.shape
+    if starts is None:
+        betas = np.tile(np.linalg.lstsq(X, prices, rcond=None)[0], (qs.size, 1))
+    else:
+        betas = np.array(starts, dtype=float)
+        if betas.shape != (qs.size, p):
+            raise ValueError(f"starts must have shape {(qs.size, p)}, got {betas.shape}")
+    gtol = _SQRA_GTOL_SCALE * m * max(1.0, float(np.std(prices)))
+    XX = (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
+    done = np.zeros(qs.size, dtype=bool)
+    for lo in range(0, qs.size, _SQRA_BLOCK):
+        block = slice(lo, lo + _SQRA_BLOCK)
+        betas[block], done[block] = _sqra_newton(
+            X, XX, prices, qs[block], bandwidth, betas[block], gtol
+        )
+    for i in np.flatnonzero(~done):
+        betas[i] = sqra_fit(pool, prices, qs[i], bandwidth, start=betas[i], intercept=intercept)
+    return betas
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +820,8 @@ class CalibrationInputs:
     bandwidth: float | None = None
     contexts: dict = field(default_factory=dict)  # tags calibrated earlier today
     # tag -> context of the previous calibration, a warm start for the same
-    # method on the shifted window (qra starts its band LPs from its betas)
+    # method on the shifted window (qra starts its band LPs from its betas,
+    # sqra its Newton solve)
     previous: dict = field(default_factory=dict)
 
 
@@ -724,12 +856,12 @@ def _calibrate_qra(inputs: CalibrationInputs) -> MethodContext:
 
 
 def _calibrate_sqra(inputs: CalibrationInputs) -> MethodContext:
-    qra_ctx = inputs.contexts.get("qra")
-    starts = qra_ctx.betas if qra_ctx is not None else None
+    start = inputs.previous.get("sqra") or inputs.contexts.get("qra")
     bandwidth = inputs.bandwidth
     if bandwidth is None:
         bandwidth = default_bandwidth(inputs.prices - inputs.pool.mean(axis=1))
-    betas = sqra_fit_grid(inputs.pool, inputs.prices, bandwidth=bandwidth, starts=starts)
+    betas = sqra_fit_grid(inputs.pool, inputs.prices, bandwidth,
+                          starts=None if start is None else start.betas)
     return MethodContext("sqra", betas=betas, bandwidth=bandwidth)
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from quantbess.point_model import (
     N_COEFFICIENTS,
     ExpertFeatures,
     ExpertModelParams,
+    _TENSORS,
     _design,
+    _full_rank,
     build_features,
     calibrate,
     dump_coefficients,
@@ -326,6 +330,63 @@ class TestPartialPool:
     def test_solve_outside_window_lengths(self, solve):
         with pytest.raises(ValueError, match="solve"):
             forecast_pool(synth_generate(400, seed=1), 380, (56, 364), solve)
+
+
+def _svd_rule(R, rows):
+    """lstsq's rank rule on each of a stack of square matrices."""
+    sv = np.linalg.svd(R, compute_uv=False)
+    tol = np.finfo(float).eps * np.maximum(rows, R.shape[-1]) * sv[..., :1]
+    return (sv > tol).all(axis=-1)
+
+
+class TestRankTest:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(30, 400),
+        seed=st.integers(0, 2**32 - 1),
+        log_factors=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+        duplicates=st.integers(0, 4),
+    )
+    def test_matches_svd_rule(self, rows, seed, log_factors, duplicates):
+        # Triangular factors with the smallest singular value planted at
+        # 10**f times lstsq's threshold (near it for f near 0), and factors
+        # of designs with one column exactly duplicated.
+        rng = np.random.default_rng(seed)
+        n = N_COEFFICIENTS
+        stack = []
+        for f in log_factors:
+            s = np.sort(10.0 ** rng.uniform(-2.0, 4.0, n))[::-1]
+            s[-1] = 10.0 ** f * np.finfo(float).eps * max(rows, n) * s[0]
+            u = np.linalg.qr(rng.normal(size=(rows, n)))[0]
+            v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            stack.append((u * s) @ v.T)
+        for _ in range(duplicates):
+            X = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-1.0, 3.0, n)
+            i, j = rng.choice(n, 2, replace=False)
+            X[:, j] = X[:, i]
+            stack.append(X)
+        R = np.linalg.qr(np.stack(stack), mode="r")
+        assert np.array_equal(_full_rank(R, rows), _svd_rule(R, rows))
+
+    def test_pool_hour_24_is_deficient(self):
+        series = synth_generate(400, seed=3, regime="spiky")
+        days = np.arange(300, 364)
+        Xy = np.stack([_design(series, days, h) for h in range(1, 25)])
+        R = np.linalg.qr(Xy, mode="r")
+        full = _full_rank(R, days.size)
+        assert not full[23] and full[:23].all()
+        assert np.array_equal(full, _svd_rule(R, days.size))
+
+
+class TestSeriesTensor:
+    def test_dropped_with_its_series(self):
+        series = synth_generate(400, seed=1)
+        forecast_pool(series, 380)
+        key = id(series)
+        assert key in _TENSORS
+        del series
+        gc.collect()
+        assert key not in _TENSORS
 
 
 class TestDump:
