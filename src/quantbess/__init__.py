@@ -3,19 +3,15 @@
 __version__ = "0.1.0"
 
 from .backtest_engine import BacktestConfig, BacktestReport, run_backtest, run_single_model
-from .market_data import MarketSeries, WindowView, ingest_csv, synth_generate, window
-from .prob_models import QuantileForecast
+from .market_data import MarketSeries, ingest_csv, synth_generate
 
 __all__ = [
     "BacktestConfig",
     "BacktestReport",
     "MarketSeries",
-    "QuantileForecast",
-    "WindowView",
     "ingest_csv",
     "run_backtest",
     "run_single_model",
     "synth_generate",
-    "window",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import StateInvariantError
-from .eval_metrics import TradingHours, _pi_columns
+from .eval_metrics import _pi_columns
 from .prob_models import MEDIAN_INDEX
 
 SELL_FACTOR = 0.9
@@ -89,8 +89,9 @@ def profit_per_mwh(ledger: TradeLedger) -> np.ndarray:
     return _day_total(ledger.cash_flow) / volume
 
 
-def choose_hours(median_forecast) -> TradingHours:
-    """h1 = earliest argmin, h2 = earliest argmax of the median forecast.
+def choose_hours(median_forecast) -> tuple[int, int]:
+    """The trading hours (h1, h2), numbered 1..24: h1 is the earliest argmin
+    and h2 the earliest argmax of the median forecast.
 
     On a flat forecast (argmin == argmax) h2 moves to the best hour distinct
     from h1.
@@ -103,7 +104,7 @@ def choose_hours(median_forecast) -> TradingHours:
     if h1 == h2:
         rest = [h for h in range(1, 25) if h != h1]
         h2 = max(rest, key=lambda h: (values[h - 1], -h))
-    return TradingHours(h1=h1, h2=h2)
+    return h1, h2
 
 
 def _best_forced_hour(values, before_hour, exclude, maximize) -> int:
@@ -120,7 +121,7 @@ def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) 
     """Daily bid/offer from the PI bounds, plus forced orders at empty/full.
 
     `quantiles` and `hours` hold each model's (24, 99) quantile matrix and
-    TradingHours for the day; `model`, `alphas` and `level` hold each
+    (h1, h2) trading hours for the day; `model`, `alphas` and `level` hold each
     strategy's model index, alpha and starting battery level.  The forced
     hours depend only on the model, so they are found once per model.
     """
@@ -130,16 +131,15 @@ def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) 
     model = np.asarray(model, dtype=int)
     level = np.asarray(level, dtype=int)
 
-    hour_table, forced_table = [], []
-    for qf, hrs in zip(quantiles, hours):
+    forced_table = []
+    for qf, (h1, h2) in zip(quantiles, hours):
         values = qf[:, MEDIAN_INDEX]
-        before = hrs.h2 if forced_sell_mode == "before_h2" else hrs.h1
-        hour_table.append((hrs.h1, hrs.h2))
+        before = h2 if forced_sell_mode == "before_h2" else h1
         forced_table.append((
-            _best_forced_hour(values, hrs.h2, {hrs.h1}, maximize=False),
-            _best_forced_hour(values, before, {hrs.h1, hrs.h2}, maximize=True),
+            _best_forced_hour(values, h2, {h1}, maximize=False),
+            _best_forced_hour(values, before, {h1, h2}, maximize=True),
         ))
-    h1, h2 = np.array(hour_table)[model].T
+    h1, h2 = np.array(hours)[model].T
     forced_buy, forced_sell = np.array(forced_table)[model].T
     forced_buy = np.where(level == 0, forced_buy, 0)
     forced_sell = np.where(level == 2, forced_sell, 0)
@@ -159,10 +159,10 @@ def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) 
 def benchmark_orders(point_forecast) -> Orders:
     """Price-taker benchmark (K = 1): unlimited buy at the cheapest predicted
     hour, unlimited sell at the dearest; both always accepted."""
-    hours = choose_hours(point_forecast)
+    h1, h2 = choose_hours(point_forecast)
     yes, no, none = np.ones(1, dtype=bool), np.zeros(1, dtype=bool), np.zeros(1, dtype=int)
     return Orders(
-        h1=np.array([hours.h1]), h2=np.array([hours.h2]),
+        h1=np.array([h1]), h2=np.array([h2]),
         bid_price=np.array([np.inf]), offer_price=np.array([-np.inf]),
         bid_unlimited=yes, offer_unlimited=yes, bid_withdrawn=no, offer_withdrawn=no,
         forced_buy_hour=none, forced_sell_hour=none,

@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load-col", default="load_forecast")
     p.add_argument("--min-days", type=int, default=0,
                    help="minimum complete days required "
-                        f"({market_data.DEFAULT_MIN_BACKTEST_DAYS} for a default backtest)")
+                        f"({BacktestConfig().first_trading_day + 1} for a default backtest)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("backtest", help="run the full rolling backtest")

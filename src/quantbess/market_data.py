@@ -1,4 +1,4 @@
-"""Hourly day-ahead market data: ingestion, validation, windowing, synthesis.
+"""Hourly day-ahead market data: ingestion, validation, synthesis.
 
 The canonical in-memory representation is a dense calendar-aligned matrix of
 shape (n_days, 24).  Hours are numbered 1..24 externally (column h-1
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapError, InsufficientDataError, ParseError
-
-#: Minimum day count for a default-window backtest (364 + 182 + 1).
-DEFAULT_MIN_BACKTEST_DAYS = 547
 
 DEFAULT_SCHEMA = {
     "timestamp": "timestamp",
@@ -62,52 +59,6 @@ class MarketSeries:
     def weekday(self, d) -> int | np.ndarray:
         """Weekday (1=Mon..7=Sun) of day d; periodic with period 7."""
         return (self.start_weekday - 1 + np.asarray(d)) % 7 + 1
-
-    def weekday_dummies(self, d: int) -> np.ndarray:
-        """Seven 0/1 indicators; exactly one is set."""
-        dummies = np.zeros(7)
-        dummies[int(self.weekday(d)) - 1] = 1.0
-        return dummies
-
-
-@dataclass(frozen=True)
-class WindowView:
-    """Read-only view of a contiguous day range [first_day, last_day]."""
-
-    series: MarketSeries
-    first_day: int
-    last_day: int
-
-    def __post_init__(self):
-        if self.first_day < 0 or self.last_day >= self.series.n_days:
-            raise IndexError(
-                f"window [{self.first_day}, {self.last_day}] out of range "
-                f"for {self.series.n_days} days"
-            )
-        if self.last_day < self.first_day:
-            raise IndexError("window must contain at least one day")
-
-    @property
-    def length(self) -> int:
-        return self.last_day - self.first_day + 1
-
-    @property
-    def prices(self) -> np.ndarray:
-        return self.series.prices[self.first_day : self.last_day + 1]
-
-    @property
-    def loads(self) -> np.ndarray:
-        return self.series.loads[self.first_day : self.last_day + 1]
-
-    def days(self) -> np.ndarray:
-        return np.arange(self.first_day, self.last_day + 1)
-
-
-def window(series: MarketSeries, end_day: int, length: int) -> WindowView:
-    """View of exactly `length` days ending at `end_day` (inclusive)."""
-    if length < 1:
-        raise IndexError(f"window length must be >= 1, got {length}")
-    return WindowView(series, end_day - length + 1, end_day)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,15 @@ extremes, the end-of-day price, the load forecast and seven weekday dummies
 (14 coefficients; the dummies span the intercept).  A pool of variants is
 produced by calibrating the same model on several window lengths.
 
-`calibrate` fits one hour on one window with `lstsq`; with `predict_day` it is
-the reference for `forecast_pool`, which fits all 24 hours of every pool
-window together.  The (24, days, 15) design-and-target tensor of a series is
-built once, for every day d >= 7, and kept while the series lives; each
-day's windows and features are slices of it.  All pool windows end the day
-before the forecast day, so each window is a suffix of the longest one's
-rows.  A stacked QR of [X | y] gives each window's R and Q'y for all 24
-hours at once (the QR of a window updates the R of the next shorter one
-with the rows it lacks).
+`calibrate` fits one hour on one window with `lstsq` and returns its 14
+coefficients; it is the reference for `forecast_pool`, which fits all 24
+hours of every pool window together.  The (24, days, 15) design-and-target
+tensor of a series is built once, for every day d >= 7, and kept while the
+series lives; each day's windows and features are slices of it.  All pool
+windows end the day before the forecast day, so each window is a suffix of
+the longest one's rows.  A stacked QR of [X | y] gives each window's R and
+Q'y for all 24 hours at once (the QR of a window updates the R of the next
+shorter one with the rows it lacks).
 
 The singular values of R are those of X and set the rank by lstsq's rule,
 s_min > eps * max(m, 14) * s_max for m usable days.  Bounds decide it first:
@@ -31,14 +31,13 @@ full pool gives; only the rank test, the solve and the forecasts shrink.
 """
 from __future__ import annotations
 
-import csv
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationError, InsufficientDataError
-from .market_data import MarketSeries, WindowView, window
+from .market_data import MarketSeries
 
 #: Days of history needed before features exist (one-week lag).
 FEATURE_LAG = 7
@@ -47,11 +46,6 @@ FEATURE_LAG = 7
 MIN_CALIBRATION_DAYS = 30
 
 N_COEFFICIENTS = 14
-
-FEATURE_NAMES = (
-    "y_lag1", "y_lag2", "y_lag7", "y_eod", "y_max_prev", "y_min_prev", "load",
-    "wd1", "wd2", "wd3", "wd4", "wd5", "wd6", "wd7",
-)
 
 #: Window lengths for the default forecast-pool committee.
 DEFAULT_POOL_WINDOWS = (56, 84, 112, 182, 364)
@@ -63,54 +57,6 @@ _RANK_MARGIN = 4.0
 
 # id(series) -> its `_series_tensor`; an entry goes with its series
 _TENSORS = {}
-
-
-@dataclass(frozen=True)
-class ExpertFeatures:
-    """Regressor values for one (day, hour)."""
-
-    y_lag1: float
-    y_lag2: float
-    y_lag7: float
-    y_eod: float
-    y_max_prev: float
-    y_min_prev: float
-    load: float
-    weekday: np.ndarray  # seven 0/1 indicators
-
-    def __post_init__(self):
-        weekday = np.asarray(self.weekday, dtype=float)
-        if weekday.shape != (7,) or int(weekday.sum()) != 1 or not np.isin(weekday, (0.0, 1.0)).all():
-            raise ValueError("weekday must be a one-hot vector of length 7")
-        if self.y_max_prev < self.y_min_prev:
-            raise ValueError("y_max_prev must be >= y_min_prev")
-        object.__setattr__(self, "weekday", weekday)
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate((
-            [self.y_lag1, self.y_lag2, self.y_lag7, self.y_eod,
-             self.y_max_prev, self.y_min_prev, self.load],
-            self.weekday,
-        ))
-
-
-@dataclass(frozen=True)
-class ExpertModelParams:
-    """Fitted coefficients of the hourly expert model."""
-
-    hour: int
-    coefficients: np.ndarray  # (14,)
-    calibration_window_length: int
-
-    def __post_init__(self):
-        coefficients = np.asarray(self.coefficients, dtype=float)
-        if coefficients.shape != (N_COEFFICIENTS,):
-            raise ValueError(f"expected {N_COEFFICIENTS} coefficients")
-        if not np.isfinite(coefficients).all():
-            raise ValueError("coefficients must be finite")
-        if not 1 <= self.hour <= 24:
-            raise ValueError("hour must be in 1..24")
-        object.__setattr__(self, "coefficients", coefficients)
 
 
 @dataclass(frozen=True)
@@ -134,31 +80,12 @@ class PointForecastSet:
         return self.values[idx]
 
 
-def build_features(series: MarketSeries, d: int, h: int) -> ExpertFeatures:
-    """Assemble the regressors for forecasting day d, hour h."""
-    if d < FEATURE_LAG:
-        raise InsufficientDataError(
-            f"day {d} lacks one-week history (need d >= {FEATURE_LAG})"
-        )
-    if d >= series.n_days:
-        raise IndexError(f"day {d} outside series of {series.n_days} days")
-    p = series.prices
-    return ExpertFeatures(
-        y_lag1=p[d - 1, h - 1],
-        y_lag2=p[d - 2, h - 1],
-        y_lag7=p[d - 7, h - 1],
-        y_eod=p[d - 1, 23],
-        y_max_prev=p[d - 1].max(),
-        y_min_prev=p[d - 1].min(),
-        load=series.loads[d, h - 1],
-        weekday=series.weekday_dummies(d),
-    )
-
-
 def _design_tensor(series: MarketSeries, days: np.ndarray, with_target: bool = False) -> np.ndarray:
     """(24, days, 14) feature tensor: entry [h - 1, i] holds the regressors of
-    (days[i], h).  Every day must be >= 7.  `with_target` appends the price
-    being regressed, that of (days[i], h), as a 15th column."""
+    (days[i], h): y_lag1, y_lag2, y_lag7, y_eod, y_max_prev, y_min_prev,
+    load, then seven weekday dummies (Mon..Sun).  Every day must be >= 7.
+    `with_target` appends the price being regressed, that of (days[i], h),
+    as a 15th column."""
     p = series.prices
     prev = p[days - 1]
     X = np.zeros((24, days.size, N_COEFFICIENTS + with_target))
@@ -175,25 +102,20 @@ def _design_tensor(series: MarketSeries, days: np.ndarray, with_target: bool = F
     return X
 
 
-def _design(series: MarketSeries, days: np.ndarray, h: int) -> np.ndarray:
-    """Vectorized feature matrix of hour h for an array of days (all must be >= 7)."""
-    return _design_tensor(series, days)[h - 1]
-
-
-def calibrate(win: WindowView, h: int) -> ExpertModelParams:
-    """Least-squares fit of the 14 coefficients over the window, for hour h.
+def calibrate(series: MarketSeries, days, h: int) -> np.ndarray:
+    """Least-squares fit of hour h's 14 coefficients over the window `days`.
 
     Days without full lag history are trimmed from the window.  On a
     rank-deficient design a trace-scaled ridge term keeps the fit defined.
     """
-    days = win.days()
+    days = np.asarray(days)
     days = days[days >= FEATURE_LAG]
     if days.size < MIN_CALIBRATION_DAYS:
         raise InsufficientDataError(
             f"{days.size} usable days in window; need >= {MIN_CALIBRATION_DAYS}"
         )
-    X = _design(win.series, days, h)
-    y = win.series.prices[days, h - 1]
+    X = _design_tensor(series, days)[h - 1]
+    y = series.prices[days, h - 1]
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < N_COEFFICIENTS:
         # Column-proportional ridge keeps the bias at ~1e-8 relative per
@@ -209,20 +131,7 @@ def calibrate(win: WindowView, h: int) -> ExpertModelParams:
             raise CalibrationError(f"hour {h}: ridge fallback failed") from exc
     if not np.isfinite(beta).all():
         raise CalibrationError(f"hour {h}: non-finite coefficients")
-    return ExpertModelParams(hour=h, coefficients=beta, calibration_window_length=win.length)
-
-
-def predict(params: ExpertModelParams, features: ExpertFeatures) -> float:
-    return float(params.coefficients @ features.vector())
-
-
-def predict_day(series: MarketSeries, d: int, params_by_hour) -> np.ndarray:
-    """Forecast all 24 hours of day d given per-hour fitted parameters."""
-    out = np.empty(24)
-    for h in range(1, 25):
-        X = _design(series, np.array([d]), h)
-        out[h - 1] = X[0] @ params_by_hour[h - 1].coefficients
-    return out
+    return beta
 
 
 def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WINDOWS,
@@ -232,9 +141,10 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
     `solve` names the window lengths to fit, a subset of `window_lengths`
     (default: all of them); the result and the failures cover those alone.
     Returns (PointForecastSet, failures) where failures maps a dropped window
-    length to the error that removed it.  Each window's forecasts equal those
-    of `calibrate` and `predict_day` up to rounding; see the module docstring
-    for how the 24 hourly fits of all windows are solved together.
+    length to the error that removed it.  A window of length L holds days
+    d - L .. d - 1.  Each window's forecasts equal day d's regressors times
+    `calibrate`'s coefficients up to rounding; see the module docstring for
+    how the 24 hourly fits of all windows are solved together.
     """
     window_lengths = tuple(window_lengths)
     if not window_lengths:
@@ -242,9 +152,10 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
     solve = window_lengths if solve is None else tuple(solve)
     if not solve or not set(solve) <= set(window_lengths):
         raise ValueError(f"solve {solve} must name some of the window lengths {window_lengths}")
-    if d < max(window_lengths):
+    if d < max(*window_lengths, FEATURE_LAG):
         raise InsufficientDataError(
-            f"day {d} precedes the longest calibration window ({max(window_lengths)})"
+            f"day {d} precedes the longest calibration window ({max(window_lengths)}) "
+            f"or the one-week lag ({FEATURE_LAG})"
         )
     first = max(d - max(window_lengths), FEATURE_LAG)
     tensor = _series_tensor(series)
@@ -253,7 +164,7 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
 
     failures, starts = {}, {}
     for i, length in enumerate(window_lengths):
-        start = max(window(series, d - 1, length).first_day, FEATURE_LAG) - first
+        start = max(d - length, FEATURE_LAG) - first
         if n_rows - start >= MIN_CALIBRATION_DAYS:
             starts[i] = start
         elif length in solve:
@@ -370,17 +281,3 @@ def _ridge(Xy: np.ndarray, hours: np.ndarray) -> np.ndarray:
         )[..., 0]
     except np.linalg.LinAlgError as exc:
         raise CalibrationError(f"hours {hours.tolist()}: ridge fallback failed") from exc
-
-
-def dump_coefficients(path, fitted, delimiter: str = ",") -> None:
-    """Diagnostic CSV of fitted coefficients.
-
-    `fitted` is an iterable of ExpertModelParams.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["hour", "window_length", *FEATURE_NAMES])
-        for params in fitted:
-            writer.writerow(
-                [params.hour, params.calibration_window_length, *params.coefficients]
-            )

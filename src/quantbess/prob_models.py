@@ -63,32 +63,6 @@ def _phi(z):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuantileForecast:
-    """99 monotone quantile prices for one (day, hour)."""
-
-    day: int
-    hour: int
-    q_values: np.ndarray
-
-    def __post_init__(self):
-        q_values = np.asarray(self.q_values, dtype=float)
-        if q_values.shape != (99,):
-            raise ValueError("q_values must have 99 entries")
-        if not np.isfinite(q_values).all():
-            raise ValueError("q_values must be finite")
-        if np.any(np.diff(q_values) < 0):
-            raise ValueError("q_values must be non-decreasing")
-        object.__setattr__(self, "q_values", q_values)
-
-    def value(self, q: float) -> float:
-        return self.q_values[quantile_index(q)]
-
-    @property
-    def median(self) -> float:
-        return self.q_values[MEDIAN_INDEX]
-
-
-@dataclass(frozen=True)
 class ErrorSample:
     """Point-forecast errors collected over the probabilistic window."""
 
@@ -127,11 +101,6 @@ def quantile_index(q: float) -> int:
     return idx
 
 
-def _wrap(values: np.ndarray, day: int, hour: int) -> QuantileForecast:
-    """Rearrange (sort) to restore monotonicity and wrap."""
-    return QuantileForecast(day=day, hour=hour, q_values=np.sort(values))
-
-
 # ---------------------------------------------------------------------------
 # Historical simulation and conformal prediction
 # ---------------------------------------------------------------------------
@@ -144,14 +113,6 @@ def cp_offsets(errors: ErrorSample) -> np.ndarray:
     """Signed offsets: -gamma below the median, +gamma above, 0 at q=0.5."""
     gam = np.quantile(np.abs(errors.residuals), np.abs(1.0 - 2.0 * QUANTILE_GRID))
     return np.where(QUANTILE_GRID < 0.5, -gam, np.where(QUANTILE_GRID > 0.5, gam, 0.0))
-
-
-def hs_quantiles(point: float, errors: ErrorSample, day: int = 0, hour: int = 1) -> QuantileForecast:
-    return _wrap(point + hs_offsets(errors), day, hour)
-
-
-def cp_quantiles(point: float, errors: ErrorSample, day: int = 0, hour: int = 1) -> QuantileForecast:
-    return _wrap(point + cp_offsets(errors), day, hour)
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +213,9 @@ def jsu_quantile(params: JsuParams, q):
     return params.xi + params.lam * np.sinh((z_q - params.gamma) / params.delta)
 
 
-def jsu_sample(params: JsuParams, size: int, rng) -> np.ndarray:
-    """Draws from the distribution (inverse transform of standard normals)."""
-    z = rng.standard_normal(size)
-    return params.xi + params.lam * np.sinh((z - params.gamma) / params.delta)
-
-
 # ---------------------------------------------------------------------------
 # Quantile regression averaging (exact LP)
 # ---------------------------------------------------------------------------
-
-def pinball_sum(beta: np.ndarray, X: np.ndarray, y: np.ndarray, q: float) -> float:
-    """Total pinball loss of the linear fit X @ beta against y."""
-    r = y - X @ beta
-    return float(np.sum(np.where(r >= 0, q * r, (q - 1.0) * r)))
-
 
 def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0]), X])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from oracles import jsu_sample, pinball_sum
 from quantbess.backtest_engine import BacktestConfig, run_backtest, write_report
 from quantbess.bess_trading import (
     BUY_FACTOR,
@@ -23,7 +24,7 @@ from quantbess.bess_trading import (
     settle,
 )
 from quantbess.errors import StateInvariantError
-from quantbess.eval_metrics import METRICS, pinball, sp_coverage_all
+from quantbess.eval_metrics import DEFAULT_ALPHAS, METRICS, alpha_quantiles, daily_scores
 from quantbess.market_data import synth_generate
 from quantbess.prob_models import (
     ErrorSample,
@@ -35,8 +36,6 @@ from quantbess.prob_models import (
     hs_offsets,
     jsu_fit,
     jsu_quantile,
-    jsu_sample,
-    pinball_sum,
     qra_fit,
     register_method,
     sqra_fit,
@@ -53,21 +52,38 @@ def _verdict(num, description, failures):
 
 class TestAcceptance:
     def test_criterion_01_pinball_oracle(self):
+        # 400 random days x 25 alphas: the buy and sell pinball of every
+        # alpha (20,000 losses) and each day's mean over the 24 x 99 grid
         rng = np.random.default_rng(101)
-        qs = rng.uniform(0.01, 0.99, 10000)
-        prices = rng.normal(50, 40, 10000)
-        forecasts = rng.normal(50, 40, 10000)
+        levels = [alpha_quantiles(alpha) for alpha in DEFAULT_ALPHAS]
+        buy, sell, total = (
+            METRICS.index(m) for m in ("pinball_buy", "pinball_sell", "pinball_all")
+        )
+
+        def rule(q, p, f):
+            return q * (p - f) if p >= f else (q - 1.0) * (p - f)
+
         failures = []
         t0 = time.perf_counter()
-        for q, p, f in zip(qs, prices, forecasts):
-            got = pinball(q, p, f)
-            oracle = q * (p - f) if p >= f else (q - 1.0) * (p - f)
-            if abs(got - oracle) > 1e-12:
-                failures.append((q, p, f, got, oracle))
+        for day in range(400):
+            prices = rng.normal(50, 40, 24)
+            qf = np.sort(rng.normal(50, 40, (24, 99)), axis=1)
+            h1, h2 = rng.choice(24, 2, replace=False) + 1
+            block = daily_scores(qf, prices, (h1, h2), DEFAULT_ALPHAS)
+            for row, (lo, up) in zip(block, levels):
+                for got, q, h in ((row[buy], up, h1), (row[sell], lo, h2)):
+                    oracle = rule(q, prices[h - 1], qf[h - 1, round(q * 100) - 1])
+                    if abs(got - oracle) > 1e-12:
+                        failures.append((day, q, h, got, oracle))
+            diff = prices[:, None] - qf
+            grid = np.where(diff >= 0, QUANTILE_GRID * diff, (QUANTILE_GRID - 1.0) * diff)
+            if np.abs(block[:, total] - grid.mean()).max() > 1e-12:
+                failures.append((day, "pinball_all", block[0, total], grid.mean()))
         elapsed = time.perf_counter() - t0
         if elapsed >= 1.0:
             failures.append(f"runtime {elapsed:.2f}s >= 1s")
-        _verdict(1, "pinball matches the direct scoring rule to 1e-12", failures)
+        _verdict(1, "daily_scores' pinball columns match the direct scoring rule to 1e-12",
+                 failures)
 
     def test_criterion_02_qra_exactness(self):
         rng = np.random.default_rng(202)
@@ -133,7 +149,7 @@ class TestAcceptance:
         rng = np.random.default_rng(404)
         true = JsuParams(gamma=0.0, delta=1.5, xi=0.0, lam=2.0)
         t0 = time.perf_counter()
-        sample = jsu_sample(true, 50000, rng)
+        sample = jsu_sample(true.gamma, true.delta, true.xi, true.lam, 50000, rng)
         fit = jsu_fit(ErrorSample(sample))
         elapsed = time.perf_counter() - t0
         failures = []
@@ -159,10 +175,12 @@ class TestAcceptance:
         qf = np.tile(ndtri(QUANTILE_GRID), (24, 1))
         prices = rng.standard_normal((1000, 24))
         failures = []
-        for alpha in (0.5, 0.8, 0.98):
-            avg = float(np.mean([
-                sp_coverage_all(qf, day_prices, alpha) for day_prices in prices
-            ]))
+        alphas = (0.5, 0.8, 0.98)
+        coverage = np.mean([
+            daily_scores(qf, day_prices, (1, 2), alphas)[:, METRICS.index("coverage_all")]
+            for day_prices in prices
+        ], axis=0)
+        for alpha, avg in zip(alphas, coverage):
             if abs(avg - alpha) > 0.03:
                 failures.append(f"alpha {alpha}: coverage {avg:.4f}")
         _verdict(5, "self-consistent forecasts hit nominal coverage within 3pp",
@@ -232,7 +250,7 @@ class TestAcceptance:
             alpha = float(rng.choice([0.5, 0.8, 0.98]))
             width = np.full(24, 1.0)
             hours = choose_hours(curve)
-            width[[hours.h1 - 1, hours.h2 - 1]] = rng.uniform(1, 30, 2)
+            width[[hours[0] - 1, hours[1] - 1]] = rng.uniform(1, 30, 2)
             qf = curve[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 99)
             orders = build_orders([qf], [hours], [0], [alpha], level,
                                   FORCED_SELL_MODES[day % 2])

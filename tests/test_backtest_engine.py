@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from oracles import (
+    sp_coverage_all,
+    sp_coverage_hours,
+    sp_pinball_all,
+    sp_pinball_buy,
+    sp_pinball_buysell,
+    sp_pinball_sell,
+)
 from quantbess.backtest_engine import (
     BacktestConfig,
     LEDGERS_FILE,
@@ -24,22 +32,13 @@ from quantbess.bess_trading import (
     settle,
 )
 from quantbess.errors import ConfigError
-from quantbess.eval_metrics import (
-    METRICS,
-    sp_coverage_all,
-    sp_coverage_hours,
-    sp_pinball_all,
-    sp_pinball_buy,
-    sp_pinball_buysell,
-    sp_pinball_sell,
-)
+from quantbess.eval_metrics import METRICS
 from quantbess.market_data import synth_generate
 from quantbess.point_model import forecast_pool
 from quantbess.prob_models import (
     MEDIAN_INDEX,
     CalibrationInputs,
     ErrorSample,
-    QuantileForecast,
     get_calibrator,
     quantile_matrix,
 )
@@ -290,17 +289,16 @@ class TestReportBundle:
         for (day, model, alpha), row in scores.items():
             qf = small_report.forecasts[day][model]
             prices = small_series.prices[day]
-            hours = choose_hours(qf[:, MEDIAN_INDEX])
-            fc1 = QuantileForecast(day=day, hour=hours.h1, q_values=qf[hours.h1 - 1])
-            fc2 = QuantileForecast(day=day, hour=hours.h2, q_values=qf[hours.h2 - 1])
-            p1, p2 = prices[hours.h1 - 1], prices[hours.h2 - 1]
+            h1, h2 = choose_hours(qf[:, MEDIAN_INDEX])
+            row1, row2 = qf[h1 - 1], qf[h2 - 1]
+            p1, p2 = prices[h1 - 1], prices[h2 - 1]
             oracle = {
                 "pinball_all": sp_pinball_all(qf, prices),
-                "pinball_buysell": sp_pinball_buysell(fc1, fc2, p1, p2, alpha),
-                "pinball_sell": sp_pinball_sell(fc2, p2, alpha),
-                "pinball_buy": sp_pinball_buy(fc1, p1, alpha),
+                "pinball_buysell": sp_pinball_buysell(row1, row2, p1, p2, alpha),
+                "pinball_sell": sp_pinball_sell(row2, p2, alpha),
+                "pinball_buy": sp_pinball_buy(row1, p1, alpha),
                 "coverage_all": sp_coverage_all(qf, prices, alpha),
-                "coverage_hours": float(sp_coverage_hours(fc1, fc2, p1, p2, alpha)),
+                "coverage_hours": float(sp_coverage_hours(row1, row2, p1, p2, alpha)),
             }
             for metric in METRICS:
                 assert float(row[metric]) == oracle[metric], (day, model, alpha, metric)

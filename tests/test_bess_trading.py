@@ -128,24 +128,39 @@ def _columns(record, k):
 
 class TestChooseHours:
     def test_v_shape(self):
-        hours = choose_hours(_median_curve(4, 19))
-        assert (hours.h1, hours.h2) == (4, 19)
+        assert choose_hours(_median_curve(4, 19)) == (4, 19)
 
     def test_constant_curve(self):
-        hours = choose_hours(np.full(24, 33.0))
-        assert (hours.h1, hours.h2) == (1, 2)
+        assert choose_hours(np.full(24, 33.0)) == (1, 2)
 
     def test_tied_minima_take_earliest(self):
         values = np.full(24, 50.0)
         values[[2, 4]] = 10.0  # hours 3 and 5
         values[20] = 90.0
-        hours = choose_hours(values)
-        assert hours.h1 == 3
-        assert hours.h2 == 21
+        assert choose_hours(values) == (3, 21)
 
     def test_invalid_input(self):
         with pytest.raises(ValueError):
             choose_hours(np.full(24, np.nan))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 24)), min_size=1, max_size=24))
+    def test_hours_property(self, runs):
+        # flat runs of few levels: ties everywhere, and a flat day when one
+        # run covers all 24 hours
+        values = [float(v) for v, length in runs for _ in range(length)]
+        values = (values * 24)[:24]
+        h1, h2 = choose_hours(np.array(values))
+        assert type(h1) is int and type(h2) is int
+        assert 1 <= h1 <= 24 and 1 <= h2 <= 24 and h1 != h2
+        low, high = min(values), max(values)
+        assert h1 == values.index(low) + 1
+        if values.index(high) + 1 != h1:
+            assert h2 == values.index(high) + 1
+        else:
+            others = [h for h in range(1, 25) if h != h1]
+            best = max(values[h - 1] for h in others)
+            assert h2 == min(h for h in others if values[h - 1] == best)
 
 
 class TestBuildOrders:
@@ -198,8 +213,8 @@ class TestBuildOrders:
         model, alphas, level = [0, 1, 0, 1], [0.5, 0.5, 0.98, 0.98], [0, 0, 0, 1]
         orders = build_orders(matrices, hours, model, alphas, level, "before_h2")
         for k in range(4):
-            h = hours[model[k]]
-            expect = _oracle_orders(matrices[model[k]], h.h1, h.h2, alphas[k], level[k], "before_h2")
+            h1, h2 = hours[model[k]]
+            expect = _oracle_orders(matrices[model[k]], h1, h2, alphas[k], level[k], "before_h2")
             assert _columns(orders, k) == expect
 
 
@@ -256,7 +271,7 @@ class TestSettle:
             orders = build_orders([qf], [hours], np.zeros(8, int), (0.8,) * 8, levels, "before_h2")
             day = settle(orders, prices, levels)
             for k, level in enumerate(levels.tolist()):
-                o = _oracle_orders(qf, hours.h1, hours.h2, 0.8, level, "before_h2")
+                o = _oracle_orders(qf, *hours, 0.8, level, "before_h2")
                 assert _columns(orders, k) == o
                 expect = _oracle_settle(o, prices, level)
                 assert {name: _one(getattr(day, name)[0, k]) for name in expect} == expect
@@ -304,7 +319,7 @@ class TestArrayStepProperty:
         orders = build_orders(matrices, hours, model, alphas, levels, mode)
         day = settle(orders, prices, levels, day=5)
         for k, (m, alpha, level) in enumerate(zip(model, alphas, levels)):
-            o = _oracle_orders(matrices[m], hours[m].h1, hours[m].h2, alpha, level, mode)
+            o = _oracle_orders(matrices[m], *hours[m], alpha, level, mode)
             assert _columns(orders, k) == o
             expect = _oracle_settle(o, prices, level)
             assert {name: _one(getattr(day, name)[0, k]) for name in expect} == expect
@@ -317,9 +332,9 @@ class TestArrayStepProperty:
     )
     def test_price_taker_matches_reference(self, curve, prices):
         orders = benchmark_orders(curve)
-        hours = choose_hours(curve)
+        h1, h2 = choose_hours(curve)
         o = dict(
-            h1=hours.h1, h2=hours.h2, bid_price=np.inf, offer_price=-np.inf,
+            h1=h1, h2=h2, bid_price=np.inf, offer_price=-np.inf,
             bid_unlimited=True, offer_unlimited=True, bid_withdrawn=False,
             offer_withdrawn=False, forced_buy_hour=0, forced_sell_hour=0,
         )

@@ -12,6 +12,7 @@ from quantbess.cli import (
     main,
     read_config_file,
 )
+from quantbess.backtest_engine import BacktestConfig
 from quantbess.errors import ConfigError
 
 SMALL_CONFIG = """\
@@ -98,6 +99,14 @@ class TestSynthAndIngest:
         code = main(["ingest", str(path), str(tmp_path / "out.csv")])
         assert code == EXIT_RUNTIME
         assert "line 2" in capsys.readouterr().err
+
+    def test_help_states_default_minimum(self, capsys):
+        n = BacktestConfig().first_trading_day + 1
+        assert BacktestConfig().problems(n) == [] and BacktestConfig().problems(n - 1)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", "--help"])
+        assert exit_info.value.code == 0
+        assert f"({n} for a default backtest)" in " ".join(capsys.readouterr().out.split())
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "nope.csv"), str(tmp_path / "out.csv")])

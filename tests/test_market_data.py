@@ -3,16 +3,15 @@ import datetime
 import numpy as np
 import pytest
 
+from oracles import regressors
 from quantbess.errors import GapError, InsufficientDataError, ParseError
 from quantbess.market_data import (
-    DEFAULT_MIN_BACKTEST_DAYS,
     MarketSeries,
-    WindowView,
     export_csv,
     ingest_csv,
     synth_generate,
-    window,
 )
+from quantbess.point_model import _design_tensor, calibrate, forecast_pool
 
 
 def _flat_series(n_days, price=50.0, load=100.0, start_weekday=1):
@@ -58,41 +57,64 @@ class TestMarketSeries:
         assert series.weekday(0) == 4
 
     def test_weekday_dummies_one_hot(self):
-        series = _flat_series(14, start_weekday=6)
-        for d in range(14):
-            dummies = series.weekday_dummies(d)
-            assert dummies.sum() == 1.0
-            assert dummies[series.weekday(d) - 1] == 1.0
+        # the seven weekday columns of the regressors
+        series = _flat_series(21, start_weekday=6)
+        days = np.arange(7, 21)
+        dummies = _design_tensor(series, days)[:, :, 7:]
+        assert (dummies.sum(axis=2) == 1.0).all()
+        for i, d in enumerate(days):
+            assert (dummies[:, i, series.weekday(d) - 1] == 1.0).all()
+
+
+def _window_forecast(series, d, length, h):
+    """Hour h of day d from `calibrate` on the days d - length .. d - 1."""
+    return regressors(series, d, h) @ calibrate(series, np.arange(d - length, d), h)
 
 
 class TestWindow:
+    """A pool window of length L for day d holds days d - L .. d - 1."""
+
     def test_full_span(self):
-        series = _flat_series(364)
-        view = window(series, end_day=363, length=364)
-        assert view.first_day == 0
-        assert view.length == 364
+        series = synth_generate(365, seed=3)
+        pool, failures = forecast_pool(series, 364, window_lengths=[364])
+        assert failures == {} and pool.window_lengths == (364,)
+        want = _window_forecast(series, 364, 364, 5)
+        assert pool.values[0, 4] == pytest.approx(want, rel=1e-10)
 
     def test_overlong_window_rejected(self):
-        series = _flat_series(364)
-        with pytest.raises(IndexError):
-            window(series, end_day=363, length=365)
+        series = synth_generate(365, seed=3)
+        with pytest.raises(InsufficientDataError):
+            forecast_pool(series, 363, window_lengths=[364])
 
     def test_interior_window(self):
-        series = _flat_series(500)
-        view = window(series, end_day=400, length=30)
-        assert view.first_day == 371
-        assert view.last_day == 400
+        series = synth_generate(500, seed=3)
+        pool, _ = forecast_pool(series, 401, window_lengths=[30])
+        for h in (1, 12, 24):
+            want = _window_forecast(series, 401, 30, h)
+            assert pool.values[0, h - 1] == pytest.approx(want, rel=1e-10)
 
     def test_view_slices(self):
-        series = synth_generate(20, seed=3)
-        view = window(series, end_day=15, length=4)
-        assert np.array_equal(view.prices, series.prices[12:16])
-        assert np.array_equal(view.days(), np.arange(12, 16))
+        # prices before the window's lags, and after day d - 1, are not read
+        series = synth_generate(120, seed=3)
+        d, length = 100, 56
+        base, _ = forecast_pool(series, d, window_lengths=[length])
+        for day, read in ((d - length - 8, False), (d - length - 7, True),
+                          (d - 1, True), (d, False), (d + 5, False)):
+            prices = series.prices.copy()
+            prices[day] += 40.0
+            moved = MarketSeries(prices=prices, loads=series.loads,
+                                 start_weekday=series.start_weekday)
+            pool, _ = forecast_pool(moved, d, window_lengths=[length])
+            assert (not np.array_equal(pool.values, base.values)) == read, day
 
     def test_reversed_bounds_rejected(self):
-        series = _flat_series(10)
-        with pytest.raises(IndexError):
-            WindowView(series, first_day=5, last_day=4)
+        # a window that ends before the first day with lags, so that its
+        # lag-trimmed span [7, d - 1] is reversed, is no window
+        series = _flat_series(60)
+        with pytest.raises(InsufficientDataError):
+            forecast_pool(series, 5, window_lengths=[3])
+        with pytest.raises(InsufficientDataError):
+            calibrate(series, np.arange(2, 5), 1)
 
 
 class TestSynthGenerate:
@@ -195,7 +217,7 @@ class TestIngest:
         path = tmp_path / "short.csv"
         export_csv(series, path)
         with pytest.raises(InsufficientDataError):
-            ingest_csv(path, min_days=DEFAULT_MIN_BACKTEST_DAYS)
+            ingest_csv(path, min_days=11)
 
     def test_custom_schema_and_delimiter(self, tmp_path):
         path = tmp_path / "semi.csv"

@@ -5,24 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import regressors
 from quantbess.errors import CalibrationError, InsufficientDataError
-from quantbess.market_data import MarketSeries, synth_generate, window
+from quantbess.market_data import MarketSeries, synth_generate
 from quantbess.point_model import (
     DEFAULT_POOL_WINDOWS,
-    FEATURE_NAMES,
     N_COEFFICIENTS,
-    ExpertFeatures,
-    ExpertModelParams,
     _TENSORS,
-    _design,
+    _design_tensor,
     _full_rank,
-    build_features,
     calibrate,
-    dump_coefficients,
     forecast_pool,
-    predict,
-    predict_day,
 )
+
+
+def _design(series, days, h):
+    """The regressor rows of hour h for the given days."""
+    return _design_tensor(series, np.asarray(days))[h - 1]
+
+
+def _days(end_day, length):
+    """The `length` days that end at `end_day`."""
+    return np.arange(end_day - length + 1, end_day + 1)
 
 
 def _flat_series(n_days, price=50.0, load=100.0, start_weekday=1):
@@ -70,131 +74,132 @@ _TRUE_BETA = np.array([
 
 
 class TestBuildFeatures:
+    """The regressor rows of `_design_tensor`, which the pool slices."""
+
     def test_constant_series(self):
         series = _flat_series(20)
-        feats = build_features(series, d=10, h=13)
-        assert feats.y_lag1 == feats.y_lag2 == feats.y_lag7 == 50.0
-        assert feats.y_eod == feats.y_max_prev == feats.y_min_prev == 50.0
-        assert feats.load == 100.0
+        row = _design(series, [10], 13)[0]
+        assert (row[:6] == 50.0).all()  # the three lags, eod, max and min
+        assert row[6] == 100.0
 
     def test_week_lag_reads_day_zero(self):
         prices = np.full((10, 24), 50.0)
         prices[0, 0] = 99.0
         series = MarketSeries(prices=prices, loads=np.full((10, 24), 1.0))
-        feats = build_features(series, d=7, h=1)
-        assert feats.y_lag7 == 99.0
+        assert _design(series, [7], 1)[0, 2] == 99.0
 
     def test_previous_day_extremes(self):
         prices = np.full((10, 24), 50.0)
         prices[7] = np.arange(10.0, 241.0, 10.0)  # 10, 20, ..., 240
         series = MarketSeries(prices=prices, loads=np.full((10, 24), 1.0))
-        feats = build_features(series, d=8, h=3)
-        assert feats.y_max_prev == 240.0
-        assert feats.y_min_prev == 10.0
-        assert feats.y_eod == 240.0
+        row = _design(series, [8], 3)[0]
+        assert row[4] == 240.0  # y_max_prev
+        assert row[5] == 10.0   # y_min_prev
+        assert row[3] == 240.0  # y_eod
 
     def test_insufficient_history(self):
         series = _flat_series(20)
         with pytest.raises(InsufficientDataError):
-            build_features(series, d=6, h=1)
-
-    def test_one_hot_validation(self):
-        with pytest.raises(ValueError):
-            ExpertFeatures(1, 1, 1, 1, 2, 1, 5, weekday=np.ones(7))
+            forecast_pool(series, 6, window_lengths=[5])
+        with pytest.raises(InsufficientDataError):
+            regressors(series, 6, 1)
 
     def test_vector_matches_design_row(self):
         series = synth_generate(30, seed=4)
         for d, h in [(8, 1), (15, 12), (25, 24)]:
-            vec = build_features(series, d, h).vector()
-            row = _design(series, np.array([d]), h)[0]
-            assert np.array_equal(vec, row)
+            assert np.array_equal(regressors(series, d, h), _design(series, [d], h)[0])
 
 
 class TestCalibrate:
     def test_exact_recovery_zero_noise(self):
         series = _recursive_series(380, _TRUE_BETA, seed=1)
-        win = window(series, end_day=371, length=364)
         for h in (1, 5, 18):
-            params = calibrate(win, h)
-            assert np.allclose(params.coefficients, _TRUE_BETA, atol=1e-6)
+            beta = calibrate(series, _days(371, 364), h)
+            assert np.allclose(beta, _TRUE_BETA, atol=1e-6)
 
     def test_constant_series_perfect_fit(self):
         series = _flat_series(400, price=42.0)
-        win = window(series, end_day=399, length=364)
-        params = calibrate(win, 7)
-        fitted = predict_day(series, 399, [calibrate(win, h) for h in range(1, 25)])
+        betas = [calibrate(series, _days(399, 364), h) for h in range(1, 25)]
+        assert betas[6].shape == (N_COEFFICIENTS,)
+        fitted = [regressors(series, 399, h) @ betas[h - 1] for h in range(1, 25)]
         assert np.allclose(fitted, 42.0, atol=1e-8)
-        assert params.calibration_window_length == 364
 
     def test_short_window_rejected(self):
         series = _flat_series(60)
-        win = window(series, end_day=30, length=25)
         with pytest.raises(InsufficientDataError):
-            calibrate(win, 1)
+            calibrate(series, _days(30, 25), 1)
 
     def test_lag_trimming_counts_usable_days(self):
         # Window touching day 0: only days >= 7 are usable.
         series = _flat_series(60)
-        win = window(series, end_day=35, length=36)
         with pytest.raises(InsufficientDataError):
-            calibrate(win, 1)  # 29 usable days
+            calibrate(series, _days(35, 36), 1)  # 29 usable days
 
     def test_residual_orthogonality(self):
         series = synth_generate(420, seed=9, regime="high")
-        win = window(series, end_day=400, length=364)
-        days = win.days()
+        days = _days(400, 364)
         days = days[days >= 7]
         for h in (3, 21):
-            params = calibrate(win, h)
+            beta = calibrate(series, days, h)
             X = _design(series, days, h)
-            resid = series.prices[days, h - 1] - X @ params.coefficients
+            resid = series.prices[days, h - 1] - X @ beta
             scale = np.abs(series.prices[days, h - 1]).mean()
             assert np.all(np.abs(X.T @ resid) < 1e-6 * scale * days.size)
 
 
 class TestPredict:
+    """Day d's forecast is its regressor row times the fitted coefficients."""
+
     def test_zero_coefficients(self):
-        params = ExpertModelParams(hour=1, coefficients=np.zeros(14), calibration_window_length=56)
-        feats = ExpertFeatures(1, 2, 3, 77, 9, 1, 100, weekday=np.eye(7)[2])
-        assert predict(params, feats) == 0.0
+        # a zero price history fits zero coefficients and forecasts zero
+        loads = np.random.default_rng(0).uniform(600.0, 1400.0, (120, 24))
+        series = MarketSeries(prices=np.zeros((120, 24)), loads=loads)
+        pool, _ = forecast_pool(series, 100, window_lengths=[56])
+        assert (pool.values == 0.0).all()
 
     def test_single_eod_coefficient(self):
         coef = np.zeros(14)
         coef[3] = 1.0
-        params = ExpertModelParams(hour=1, coefficients=coef, calibration_window_length=56)
-        feats = ExpertFeatures(1, 2, 3, 77, 9, 1, 100, weekday=np.eye(7)[0])
-        assert predict(params, feats) == 77.0
+        series = synth_generate(30, seed=4)
+        X = _design_tensor(series, np.array([20]))[:, 0]
+        assert (X @ coef == series.prices[19, 23]).all()
 
     def test_in_sample_consistency(self):
         series = synth_generate(120, seed=6)
-        win = window(series, end_day=100, length=90)
-        params = calibrate(win, 10)
+        beta = calibrate(series, _days(100, 90), 10)
         d = 80
-        feats = build_features(series, d, 10)
-        by_features = predict(params, feats)
-        X = _design(series, np.array([d]), 10)
-        assert by_features == pytest.approx(float(X[0] @ params.coefficients), abs=1e-9)
+        by_regressors = float(regressors(series, d, 10) @ beta)
+        X = _design(series, [d], 10)
+        assert by_regressors == pytest.approx(float(X[0] @ beta), abs=1e-9)
 
     def test_linearity_in_continuous_features(self):
-        params = ExpertModelParams(
-            hour=2, coefficients=np.arange(1.0, 15.0), calibration_window_length=56
-        )
-        wd = np.eye(7)[4]
-        f1 = ExpertFeatures(1, 2, 3, 4, 6, 5, 7, weekday=wd)
-        f2 = ExpertFeatures(2, 1, 5, 3, 8, 2, 4, weekday=wd)
-        combo = ExpertFeatures(
-            1 + 2, 2 + 1, 3 + 5, 4 + 3, 6 + 8, 5 + 2, 7 + 4, weekday=wd
-        )
-        dummy_part = params.coefficients[7:] @ wd
-        assert predict(params, combo) - dummy_part == pytest.approx(
-            (predict(params, f1) - dummy_part) + (predict(params, f2) - dummy_part)
-        )
+        # day d's load enters its forecast linearly: the window ends at
+        # d - 1, so the fit does not move with it
+        series = synth_generate(200, seed=6)
+        d = 150
+
+        def forecast(load_shift):
+            loads = series.loads.copy()
+            loads[d] += load_shift
+            moved = MarketSeries(prices=series.prices, loads=loads,
+                                 start_weekday=series.start_weekday)
+            return forecast_pool(moved, d, window_lengths=[56])[0].values[0]
+
+        base = forecast(0.0)
+        shift_1, shift_2 = np.linspace(10.0, 240.0, 24), np.full(24, 55.0)
+        combined = forecast(shift_1 + shift_2) - base
+        assert np.allclose(combined, (forecast(shift_1) - base) + (forecast(shift_2) - base),
+                           rtol=1e-9, atol=1e-9)
+        slope = [calibrate(series, _days(d - 1, 56), h)[6] for h in range(1, 25)]
+        assert np.allclose(forecast(shift_2) - base, 55.0 * np.array(slope), rtol=1e-6, atol=1e-9)
 
     def test_shifted_constant_series(self):
         for c in (42.0, 142.0):
             series = _flat_series(400, price=c)
-            win = window(series, end_day=399, length=364)
-            fitted = predict_day(series, 399, [calibrate(win, h) for h in range(1, 25)])
+            pool, _ = forecast_pool(series, 399, window_lengths=[364])
+            assert np.allclose(pool.values[0], c, atol=1e-8)
+            fitted = [regressors(series, 399, h) @ calibrate(series, _days(398, 364), h)
+                      for h in range(1, 25)]
             assert np.allclose(fitted, c, atol=1e-8)
 
 
@@ -227,16 +232,16 @@ class TestForecastPool:
 
 
 def _per_hour_pool(series, d, window_lengths):
-    """forecast_pool's reference: `calibrate` and `predict_day` per window and hour."""
+    """forecast_pool's reference: `calibrate` per window and hour, applied to
+    day d's regressors."""
     rows, kept, failures = [], [], {}
     for length in window_lengths:
         try:
-            win = window(series, d - 1, length)
-            params = [calibrate(win, h) for h in range(1, 25)]
+            betas = [calibrate(series, np.arange(d - length, d), h) for h in range(1, 25)]
         except (CalibrationError, InsufficientDataError) as exc:
             failures[length] = exc
             continue
-        rows.append(predict_day(series, d, params))
+        rows.append(np.array([regressors(series, d, h) @ betas[h - 1] for h in range(1, 25)]))
         kept.append(length)
     return tuple(kept), rows, failures
 
@@ -371,7 +376,7 @@ class TestRankTest:
     def test_pool_hour_24_is_deficient(self):
         series = synth_generate(400, seed=3, regime="spiky")
         days = np.arange(300, 364)
-        Xy = np.stack([_design(series, days, h) for h in range(1, 25)])
+        Xy = _design_tensor(series, days)
         R = np.linalg.qr(Xy, mode="r")
         full = _full_rank(R, days.size)
         assert not full[23] and full[:23].all()
@@ -387,15 +392,3 @@ class TestSeriesTensor:
         del series
         gc.collect()
         assert key not in _TENSORS
-
-
-class TestDump:
-    def test_coefficient_csv(self, tmp_path):
-        series = synth_generate(120, seed=1)
-        win = window(series, end_day=100, length=90)
-        fitted = [calibrate(win, h) for h in (1, 2)]
-        path = tmp_path / "coef.csv"
-        dump_coefficients(path, fitted)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == ["hour", "window_length", *FEATURE_NAMES]
-        assert len(lines) == 3

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtri
 
+from oracles import jsu_sample, pinball_sum
 from quantbess import prob_models
 from quantbess.backtest_engine import BacktestConfig, run_backtest
-from quantbess.errors import FitError, InsufficientDataError
+from quantbess.errors import FitError, InsufficientDataError, QuantbessError
 from quantbess.market_data import REGIMES, synth_generate
 from quantbess.prob_models import (
     MEDIAN_INDEX,
@@ -19,19 +20,14 @@ from quantbess.prob_models import (
     ErrorSample,
     JsuParams,
     MethodContext,
-    QuantileForecast,
     _certify,
     cp_offsets,
-    cp_quantiles,
     default_bandwidth,
     get_calibrator,
     hs_offsets,
-    hs_quantiles,
     jsu_fit,
     jsu_neg_loglik,
     jsu_quantile,
-    jsu_sample,
-    pinball_sum,
     qra_fit,
     qra_fit_grid,
     quantile_index,
@@ -60,11 +56,15 @@ class TestTypes:
             quantile_index(0.505)
 
     def test_quantile_forecast_validation(self):
-        QuantileForecast(day=0, hour=1, q_values=np.linspace(0, 1, 99))
-        with pytest.raises(ValueError):
-            QuantileForecast(day=0, hour=1, q_values=np.linspace(1, 0, 99))
-        with pytest.raises(ValueError):
-            QuantileForecast(day=0, hour=1, q_values=np.zeros(98))
+        # quantile_matrix rearranges crossing quantiles and refuses
+        # non-finite ones
+        ctx = MethodContext("hs", offsets=np.linspace(1, 0, 99))
+        qf = quantile_matrix(ctx, point=np.zeros(24))
+        assert np.array_equal(qf, np.tile(np.linspace(1, 0, 99)[::-1], (24, 1)))
+        with pytest.raises(QuantbessError):
+            quantile_matrix(MethodContext("hs", offsets=np.full(99, np.inf)), point=np.zeros(24))
+        with pytest.raises(QuantbessError):
+            quantile_matrix(ctx, point=np.full(24, np.nan))
 
     def test_error_sample_minimum(self):
         with pytest.raises(InsufficientDataError):
@@ -75,24 +75,30 @@ class TestTypes:
             JsuParams(0.0, -1.0, 0.0, 1.0)
 
 
+def _quantiles(offsets, point):
+    """One hour's 99 quantiles as the engine builds them from a method's
+    offsets and a point forecast."""
+    return quantile_matrix(MethodContext("hs", offsets=offsets), point=np.full(24, point))[0]
+
+
 class TestHistoricalSimulation:
     def test_symmetric_median(self):
         errors = ErrorSample(np.tile([-1.0, 0.0, 1.0], 50))
-        fc = hs_quantiles(100.0, errors)
-        assert fc.median == pytest.approx(100.0)
+        values = _quantiles(hs_offsets(errors), 100.0)
+        assert values[MEDIAN_INDEX] == pytest.approx(100.0)
 
     def test_constant_residuals(self):
         errors = ErrorSample(np.full(120, 5.0))
-        fc = hs_quantiles(0.0, errors)
-        assert np.all(fc.q_values == 5.0)
+        values = _quantiles(hs_offsets(errors), 0.0)
+        assert np.all(values == 5.0)
 
     def test_interpolated_quantile(self):
         # 1..200 on a uniform grid: the 0.25 empirical quantile interpolates
         # order statistics 50 and 51 at weight 0.75, giving 50.75.
         errors = ErrorSample(np.arange(1.0, 201.0))
-        fc = hs_quantiles(50.0, errors)
-        assert fc.value(0.25) == pytest.approx(50.0 + 50.75)
-        assert fc.value(0.25) == pytest.approx(
+        values = _quantiles(hs_offsets(errors), 50.0)
+        assert values[quantile_index(0.25)] == pytest.approx(50.0 + 50.75)
+        assert values[quantile_index(0.25)] == pytest.approx(
             50.0 + np.quantile(np.arange(1.0, 201.0), 0.25)
         )
 
@@ -108,19 +114,20 @@ class TestConformalPrediction:
     def test_center_is_point(self):
         errors = ErrorSample(np.random.default_rng(0).normal(0, 3, 200))
         for point in (-17.0, 0.0, 42.5):
-            assert cp_quantiles(point, errors).value(0.5) == pytest.approx(point)
+            values = _quantiles(cp_offsets(errors), point)
+            assert values[MEDIAN_INDEX] == pytest.approx(point)
 
     def test_constant_absolute_residuals(self):
         errors = ErrorSample(np.tile([-3.0, 3.0], 60))
-        fc = cp_quantiles(0.0, errors)
-        assert fc.value(0.01) == pytest.approx(-3.0)
-        assert fc.value(0.99) == pytest.approx(3.0)
+        values = _quantiles(cp_offsets(errors), 0.0)
+        assert values[quantile_index(0.01)] == pytest.approx(-3.0)
+        assert values[quantile_index(0.99)] == pytest.approx(3.0)
 
     def test_brute_force_gamma(self):
         residuals = np.concatenate([np.arange(1.0, 101.0), -np.arange(1.0, 101.0)])
-        fc = cp_quantiles(10.0, ErrorSample(residuals))
+        values = _quantiles(cp_offsets(ErrorSample(residuals)), 10.0)
         gamma = np.quantile(np.abs(residuals), 0.8)
-        assert fc.value(0.9) == pytest.approx(10.0 + gamma)
+        assert values[quantile_index(0.9)] == pytest.approx(10.0 + gamma)
 
     @settings(max_examples=50, deadline=None)
     @given(residual_samples)
@@ -159,7 +166,8 @@ class TestJohnsonSu:
 
     def test_parameter_recovery(self):
         true = JsuParams(0.0, 1.5, 0.0, 2.0)
-        draws = jsu_sample(true, 50_000, np.random.default_rng(42))
+        draws = jsu_sample(true.gamma, true.delta, true.xi, true.lam, 50_000,
+                           np.random.default_rng(42))
         fitted = jsu_fit(ErrorSample(draws))
         assert abs(fitted.delta - true.delta) <= 0.05 * true.delta
         assert abs(fitted.lam - true.lam) <= 0.05 * true.lam
