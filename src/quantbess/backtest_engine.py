@@ -20,7 +20,6 @@ sees same-day information.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass, replace
 
@@ -30,7 +29,7 @@ from . import bess_trading, eval_metrics, point_model, prob_models
 from .bess_trading import TradeLedger
 from .errors import BacktestStageError, ConfigError, QuantbessError
 from .eval_metrics import DEFAULT_ALPHAS, METRICS
-from .market_data import MarketSeries
+from .market_data import MarketSeries, _labels_along, _write_csv
 from .model_selector import COVERAGE_MODES, ScoreStore
 from .point_model import DEFAULT_POOL_WINDOWS, FEATURE_LAG
 from .prob_models import CalibrationInputs, ErrorSample, MEDIAN_INDEX, get_calibrator
@@ -357,53 +356,39 @@ def write_report(report: BacktestReport, outdir) -> list:
     import os
 
     os.makedirs(outdir, exist_ok=True)
-    paths = []
+    paths = [os.path.join(outdir, name)
+             for name in (PROFITS_FILE, SELECTION_FILE, METRICS_FILE, LEDGERS_FILE)]
+    config, store = report.config, report.store
+    models, alphas = config.model_registry, config.alphas
 
-    path = os.path.join(outdir, PROFITS_FILE)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "metric", "profit_per_mwh"])
-        profits = report.profit_table()
-        for alpha in report.config.alphas:
-            for metric in METRICS:
-                writer.writerow([alpha, metric, repr(float(profits[(metric, alpha)]))])
-    paths.append(path)
+    # rows [alpha][metric]; the ledger's strategies run metric-major
+    profits = bess_trading.profit_per_mwh(report.ledger).reshape(len(METRICS), -1).T
+    _write_csv(paths[0], ["alpha", "metric", "profit_per_mwh"], profits.shape,
+               [_labels_along(alphas, 0, 2), _labels_along(METRICS, 1, 2), profits])
 
-    path = os.path.join(outdir, SELECTION_FILE)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        config = report.config
-        models = config.model_registry
-        writer.writerow(["day", "metric", "alpha", "chosen_model",
-                         *[f"avg_{m}" for m in models]])
-        for d, chosen, averages in zip(
-            report.trading_days, report.chosen.tolist(), report.averages.tolist()
-        ):
-            for i, metric in enumerate(METRICS):
-                for j, alpha in enumerate(config.alphas):
-                    writer.writerow([d, metric, alpha, models[chosen[i][j]],
-                                     *map(repr, averages[i][j])])
-    paths.append(path)
+    # rows [trading day][metric][alpha]
+    _write_csv(
+        paths[1], ["day", "metric", "alpha", "chosen_model", *[f"avg_{m}" for m in models]],
+        report.chosen.shape,
+        [_labels_along(report.trading_days, 0, 3), _labels_along(METRICS, 1, 3),
+         _labels_along(alphas, 2, 3), (report.chosen, models),
+         *np.moveaxis(report.averages, -1, 0)],
+    )
 
-    path = os.path.join(outdir, METRICS_FILE)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "model_id", "alpha", *METRICS])
-        store = report.store
-        # cube [metric, alpha, model, day] -> rows [day][model][alpha]
-        for d, per_model in zip(store.days, store.cube.transpose(3, 2, 1, 0).tolist()):
-            for model, per_alpha in zip(store.registry_order, per_model):
-                for alpha, scores in zip(store.alphas, per_alpha):
-                    writer.writerow([d, model, alpha, *map(repr, scores)])
-    paths.append(path)
+    # cube [metric, alpha, model, day] -> rows [day][model][alpha]
+    cube = store.cube.transpose(3, 2, 1, 0)
+    _write_csv(
+        paths[2], ["day", "model_id", "alpha", *METRICS], cube.shape[:3],
+        [_labels_along(store.days, 0, 3), _labels_along(store.registry_order, 1, 3),
+         _labels_along(store.alphas, 2, 3), *np.moveaxis(cube, -1, 0)],
+    )
 
-    path = os.path.join(outdir, LEDGERS_FILE)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "alpha", *bess_trading.LEDGER_COLUMNS])
-        for k, (metric, alpha) in enumerate(report.strategies):
-            for row in bess_trading.ledger_rows(report.ledger, k):
-                writer.writerow([metric, alpha, *row])
-    paths.append(path)
-
+    # rows [strategy][trading day]
+    strategies = report.strategies
+    _write_csv(
+        paths[3], ["metric", "alpha", *bess_trading.LEDGER_COLUMNS], report.ledger.day.T.shape,
+        [_labels_along([metric for metric, _ in strategies], 0, 2),
+         _labels_along([alpha for _, alpha in strategies], 0, 2),
+         *bess_trading.ledger_columns(report.ledger)],
+    )
     return paths

@@ -15,13 +15,13 @@ A day's K strategies are traded as columns.  `build_orders` (or
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import StateInvariantError
 from .eval_metrics import _pi_columns
+from .market_data import _labels_along, _write_csv
 from .prob_models import MEDIAN_INDEX
 
 SELL_FACTOR = 0.9
@@ -211,25 +211,25 @@ def settle(orders: Orders, prices, level, day: int = 0) -> TradeLedger:
     return TradeLedger(*(np.asarray(c)[None, :] for c in columns))
 
 
-def ledger_rows(ledger: TradeLedger, k: int):
-    """CSV rows of strategy k in day order; no forced order is written empty."""
-    columns = [getattr(ledger, name)[:, k].tolist() for name in LEDGER_COLUMNS]
-    for (day, h1, h2, bid, offer, bid_acc, offer_acc, forced_buy, forced_sell,
-         cash, bought, sold, start, end) in zip(*columns):
-        yield (
-            day, h1, h2, bid, offer, int(bid_acc), int(offer_acc),
-            forced_buy or "", forced_sell or "",
-            repr(cash), repr(bought), repr(sold), start, end,
-        )
+#: A forced hour as written: 0, no forced order, is written empty.
+_FORCED_HOUR_LABELS = ("", *range(1, 25))
+
+
+def ledger_columns(ledger: TradeLedger) -> list:
+    """The CSV columns of LEDGER_COLUMNS for `market_data._write_csv` over
+    the (strategy, day) grid: one strategy after another, each in day order,
+    with no forced order written empty."""
+    columns = {name: getattr(ledger, name).T for name in LEDGER_COLUMNS}
+    for name in ("forced_buy_hour", "forced_sell_hour"):
+        columns[name] = (columns[name], _FORCED_HOUR_LABELS)
+    return list(columns.values())
 
 
 def export_ledger(ledger: TradeLedger, path, extra=None) -> None:
     """CSV dump of a ledger, one strategy after another; `extra` prepends
     constant columns."""
     extra = extra or {}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*extra.keys(), *LEDGER_COLUMNS])
-        for k in range(ledger.day.shape[1]):
-            for row in ledger_rows(ledger, k):
-                writer.writerow([*extra.values(), *row])
+    _write_csv(
+        path, [*extra.keys(), *LEDGER_COLUMNS], ledger.day.T.shape,
+        [*(_labels_along([value], 0, 2) for value in extra.values()), *ledger_columns(ledger)],
+    )

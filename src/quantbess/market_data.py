@@ -73,65 +73,103 @@ def ingest_csv(path, schema=None, delimiter: str = ",", min_days: int = 0) -> Ma
     spring DST shift have the missing hour filled with the mean of its two
     chronological neighbours; 25-hour autumn days have the duplicated hour
     averaged into one.  Any longer gap raises GapError.
+
+    Line numbers count the header as line 1 and skip blank lines.  Of
+    several bad rows the first in the file is reported; of an hour that
+    appears three times, its third row in time order.
     """
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
-    rows = []  # (datetime, price, load, line_no)
+    stamps, prices, loads, bad_row = [], [], [], None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(1, "empty file")
+        columns = []
         for key in ("timestamp", "price", "load"):
-            if schema[key] not in reader.fieldnames:
+            if schema[key] not in header:
                 raise ParseError(1, f"missing column {schema[key]!r}")
-        for line_no, row in enumerate(reader, start=2):
+            # a repeated column name means its last column
+            columns.append(len(header) - 1 - header[::-1].index(schema[key]))
+        ti, pi, li = columns
+        for row in filter(None, reader):  # blank lines are skipped
             try:
-                ts = _dt.datetime.fromisoformat(row[schema["timestamp"]].strip())
-                price = float(row[schema["price"]])
-                load = float(row[schema["load"]])
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise ParseError(line_no, str(exc)) from exc
-            if not (np.isfinite(price) and np.isfinite(load)):
-                raise ParseError(line_no, "price and load must be finite")
-            if load < 0:
-                raise ParseError(line_no, f"negative load forecast {load}")
-            rows.append((ts, price, load, line_no))
-    if not rows:
+                stamps.append(_dt.datetime.fromisoformat(row[ti].strip()))
+                prices.append(float(row[pi]))
+                loads.append(float(row[li]))
+            except (ValueError, IndexError):
+                bad_row = row
+                break
+    n_rows = len(loads)  # the rows parsed in full, all before bad_row
+    prices, loads = np.array(prices[:n_rows]), np.array(loads)
+    bad = np.flatnonzero(~(np.isfinite(prices) & np.isfinite(loads)) | (loads < 0))
+    if bad.size:
+        _check_row(float(prices[bad[0]]), float(loads[bad[0]]), int(bad[0]) + 2)
+    if bad_row is not None:
+        _parse_row(bad_row, columns, n_rows + 2)
+    if not n_rows:
         raise ParseError(1, "no data rows")
 
-    rows.sort(key=lambda r: r[0])
-    first_date = rows[0][0].date()
-    last_date = rows[-1][0].date()
+    # the first and the last row of a stable sort by time
+    first_date, last_date = min(stamps).date(), max(reversed(stamps)).date()
     n_days = (last_date - first_date).days + 1
+    day = np.array([ts.toordinal() for ts in stamps]) - first_date.toordinal()
+    outside = np.flatnonzero((day < 0) | (day >= n_days))
+    if outside.size:
+        # only timestamps with differing UTC offsets get here
+        i = int(outside[0])
+        raise ParseError(i + 2, f"{stamps[i]} falls outside the days {first_date} to {last_date}")
+    cell = day * 24 + np.array([ts.hour for ts in stamps])
+    counts = np.bincount(cell, minlength=n_days * 24)
+    if counts.max() > 2:
+        _raise_third_row(stamps, cell, np.flatnonzero(counts[cell] > 2))
 
-    price_cells = np.full((n_days, 24), np.nan)
-    load_cells = np.full((n_days, 24), np.nan)
-    counts = np.zeros((n_days, 24), dtype=int)
-    for ts, price, load, line_no in rows:
-        d = (ts.date() - first_date).days
-        h = ts.hour
-        if counts[d, h] == 0:
-            price_cells[d, h] = price
-            load_cells[d, h] = load
-        elif counts[d, h] == 1:
-            # DST fall-back duplicate: average the two observations
-            price_cells[d, h] = 0.5 * (price_cells[d, h] + price)
-            load_cells[d, h] = 0.5 * (load_cells[d, h] + load)
-        else:
-            raise ParseError(line_no, f"hour {h} of {ts.date()} appears more than twice")
-        counts[d, h] += 1
-
-    for cells in (price_cells, load_cells):
-        _fill_single_gaps(cells)
+    twice = np.flatnonzero(counts[cell] == 2)
+    pairs = twice[np.argsort(cell[twice], kind="stable")].reshape(-1, 2).T
+    grids = []
+    for values in (prices, loads):
+        grid = np.full(n_days * 24, np.nan)
+        grid[cell] = values
+        # DST fall-back duplicate: average the two observations
+        grid[cell[pairs[0]]] = 0.5 * (values[pairs[0]] + values[pairs[1]])
+        _fill_single_gaps(grid)
+        grids.append(grid.reshape(n_days, 24))
 
     if n_days < min_days:
         raise InsufficientDataError(
             f"dataset has {n_days} complete days; at least {min_days} required"
         )
-    return MarketSeries(
-        prices=price_cells,
-        loads=load_cells,
-        start_weekday=first_date.isoweekday(),
-    )
+    return MarketSeries(prices=grids[0], loads=grids[1], start_weekday=first_date.isoweekday())
+
+
+def _parse_row(row, columns, line_no) -> None:
+    """Raise ParseError if the row is bad, as a `csv.DictReader` loop would:
+    a short row's missing cells read as None."""
+    ts, price, load = (row[i] if i < len(row) else None for i in columns)
+    try:
+        _dt.datetime.fromisoformat(ts.strip())
+        price, load = float(price), float(load)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(line_no, str(exc)) from exc
+    _check_row(price, load, line_no)
+
+
+def _check_row(price: float, load: float, line_no: int) -> None:
+    if not (np.isfinite(price) and np.isfinite(load)):
+        raise ParseError(line_no, "price and load must be finite")
+    if load < 0:
+        raise ParseError(line_no, f"negative load forecast {load}")
+
+
+def _raise_third_row(stamps, cell, crowded) -> None:
+    """ParseError at the first row, in a stable sort by time, that is the
+    third of its hour; `crowded` holds the rows of the hours seen 3+ times."""
+    seen = {}
+    for i in sorted(crowded.tolist(), key=stamps.__getitem__):
+        seen[cell[i]] = seen.get(cell[i], 0) + 1
+        if seen[cell[i]] == 3:
+            ts = stamps[i]
+            raise ParseError(i + 2, f"hour {ts.hour} of {ts.date()} appears more than twice")
 
 
 def _fill_single_gaps(cells: np.ndarray) -> None:
@@ -156,20 +194,105 @@ def export_csv(series: MarketSeries, path, delimiter: str = ",", start_date=None
     if start_date is None:
         # 2018-01-01 is a Monday
         start_date = _dt.date(2018, 1, 1) + _dt.timedelta(days=series.start_weekday - 1)
+    stamps = []
+    for d in range(series.n_days):
+        midnight = _dt.datetime.combine(start_date + _dt.timedelta(days=d), _dt.time())
+        day = midnight.isoformat()[: -len("00:00:00")]
+        stamps += [f"{day}{h:02d}:00:00" for h in range(24)]
+    _write_csv(
+        path, ["timestamp", "price", "load_forecast"], series.prices.shape,
+        [(np.arange(len(stamps)).reshape(-1, 24), stamps), series.prices, series.loads],
+        delimiter,
+    )
+
+
+#: Rows formatted and written at a time, so that a writer's memory stays flat.
+_BLOCK_ROWS = 4096
+
+#: Every character of a float's repr or an int's str.
+_NUMBER_CHARS = "0123456789+-.aefin"
+
+
+class _Echo:
+    """A file whose `write` returns its text: `csv.writer(_Echo()).writerow`
+    returns the line it would write."""
+
+    def write(self, text):
+        return text
+
+
+def _field_texts(values, delimiter: str) -> np.ndarray:
+    """Each value as `csv.writer` writes one field of a row of several: its
+    str, quoted when it holds the delimiter, a quote or a line break."""
+    values = list(values)
+    texts = np.empty(len(values), dtype=object)
+    if all(type(v) is str for v in values):
+        joined = "".join(values)
+        if not any(c in joined for c in (delimiter, '"', "\r", "\n")):
+            texts[:] = values
+            return texts
+    line = csv.writer(_Echo(), delimiter=delimiter, lineterminator="").writerow
+    texts[:] = [line((v, ""))[:-1] for v in values]
+    return texts
+
+
+def _number_texts(values: np.ndarray, delimiter: str) -> np.ndarray:
+    """The repr of each float and the str of each int (bools as 0 and 1),
+    formatted once per distinct bit pattern, so -0.0, nan and inf keep
+    their own text."""
+    if values.dtype.kind == "f":
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = list(map(repr, distinct.view(np.float64).tolist()))
+    elif values.dtype.kind in "biu":
+        distinct, inverse = np.unique(values.astype(np.int64), return_inverse=True)
+        texts = list(map(str, distinct.tolist()))
+    else:
+        raise TypeError(f"cannot write a column of dtype {values.dtype}")
+    if delimiter in _NUMBER_CHARS:
+        return _field_texts(texts, delimiter)[inverse]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _labels_along(labels, axis: int, ndim: int) -> tuple:
+    """The `_write_csv` column (codes, labels) that holds labels[i] at index
+    i of `axis` of an `ndim`-axis grid."""
+    shape = [1] * ndim
+    shape[axis] = len(labels)
+    return np.arange(len(labels)).reshape(shape), labels
+
+
+def _write_csv(path, header, shape, columns, delimiter: str = ",") -> None:
+    """Write the CSV file that `csv.writer` would, one column at a time.
+
+    The rows run over the index grid `shape` in C order.  A column is either
+    an array broadcast to the grid, written as the repr of its floats or the
+    str of its ints, or a pair (codes, labels): codes broadcast to the grid,
+    and labels written as `csv.writer` writes a field.  Labels are formatted
+    once per file.  The rows go out in blocks of whole indices of the first
+    axis, about _BLOCK_ROWS rows each, with numbers formatted once per
+    distinct value in a block; one block is in memory at a time.
+    """
+    shape = tuple(shape)
+    prepared = []  # (values or codes on the grid, label texts or None)
+    for column in columns:
+        if isinstance(column, tuple):
+            codes, labels = column
+            prepared.append((np.broadcast_to(codes, shape), _field_texts(labels, delimiter)))
+        else:
+            prepared.append((np.broadcast_to(column, shape), None))
+    step = max(1, _BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["timestamp", "price", "load_forecast"])
-        for d in range(series.n_days):
-            day = start_date + _dt.timedelta(days=d)
-            for h in range(24):
-                ts = _dt.datetime.combine(day, _dt.time(hour=h))
-                writer.writerow(
-                    [
-                        ts.isoformat(),
-                        repr(float(series.prices[d, h])),
-                        repr(float(series.loads[d, h])),
-                    ]
+        csv.writer(fh, delimiter=delimiter).writerow(header)
+        for lo in range(0, shape[0], step):
+            block = []
+            for values, texts in prepared:
+                values = values[lo : lo + step].reshape(-1)
+                block.append(
+                    (texts[values] if texts is not None else _number_texts(values, delimiter))
+                    .tolist()
                 )
+            fh.write("\r\n".join(map(delimiter.join, zip(*block))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -236,13 +236,26 @@ def _full_rank(R: np.ndarray, rows) -> np.ndarray:
     deficient = r_min * _RANK_MARGIN <= eps_rows * fro / np.sqrt(n)
     rest = ~deficient
     full = np.zeros(R.shape[:-2], dtype=bool)
-    inv_fro = np.linalg.norm(np.linalg.inv(R[rest]), axis=(-2, -1))
+    inv_fro = np.linalg.norm(_triangular_inverse(R[rest]), axis=(-2, -1))
     full[rest] = _RANK_MARGIN * eps_rows[rest] * fro[rest] * inv_fro < 1.0
     undecided = rest & ~full
     if undecided.any():
         sv = np.linalg.svd(R[undecided], compute_uv=False)
         full[undecided] = (sv > (eps_rows[undecided] * sv[:, 0])[:, None]).all(axis=-1)
     return full
+
+
+def _triangular_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverse of each upper triangular R (..., n, n) with a non-zero
+    diagonal, by back substitution: row i of R^-1 is
+    (e_i - R[i, i+1:] @ R^-1[i+1:]) / r_ii, from the last row up."""
+    n = R.shape[-1]
+    inv = np.zeros(R.shape)
+    for i in range(n - 1, -1, -1):
+        row = -(R[..., i : i + 1, i + 1 :] @ inv[..., i + 1 :, :])[..., 0, :]
+        row[..., i] += 1.0
+        inv[..., i, :] = row / R[..., i, i, None]
+    return inv
 
 
 def _r_factors(Xy: np.ndarray, starts) -> dict:

@@ -844,6 +844,8 @@ def quantile_matrix(ctx: MethodContext, point=None, pool_day=None) -> np.ndarray
 
     Error-offset methods need `point`, the day's 24 point forecasts;
     regression methods need `pool_day`, the (n_variants, 24) pool forecasts.
+    A method whose offsets or betas make a matrix of another shape raises
+    QuantbessError.
     """
     if not isinstance(ctx, MethodContext):
         raise TypeError("expected a calibrated MethodContext")
@@ -856,6 +858,11 @@ def quantile_matrix(ctx: MethodContext, point=None, pool_day=None) -> np.ndarray
         if point is None:
             raise ValueError(f"method {ctx.method!r} requires a point forecast")
         values = np.asarray(point, dtype=float)[:, None] + ctx.offsets[None, :]
+    if values.shape != (24, QUANTILE_GRID.size):
+        raise QuantbessError(
+            f"model {ctx.method!r} produced quantiles of shape {values.shape}; "
+            f"expected (24, {QUANTILE_GRID.size})"
+        )
     values = np.sort(values, axis=1)
     if not np.isfinite(values).all():
         raise QuantbessError(f"model {ctx.method!r} produced non-finite quantiles")

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from quantbess.backtest_engine import BacktestConfig
+from quantbess.backtest_engine import BacktestConfig, run_backtest
 from quantbess.market_data import synth_generate
 
 
@@ -21,6 +23,12 @@ def small_config():
         alphas=(0.5, 0.8, 0.98),
         pool_window_lengths=(30, 56),
     )
+
+
+@pytest.fixture(scope="session")
+def small_report(small_series, small_config):
+    """The small config's backtest, with its quantile matrices kept."""
+    return run_backtest(small_series, replace(small_config, keep_forecasts=True))
 
 
 @pytest.fixture

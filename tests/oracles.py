@@ -1,18 +1,26 @@
 """Reference implementations that the tests check the array path against.
 
 Plain functions over arrays and ints, written from the definitions of the
-scores, the regressors and the losses rather than from the package's code.
-They import from `quantbess` only constants, `MarketSeries` and the error
-classes (`test_oracles.py` checks this), so none of them can agree with the
-package merely because it calls the code under test.
+scores, the regressors and the losses rather than from the package's code,
+and row-by-row CSV readers and writers built on `csv.DictReader` and
+`csv.writer`.  They import from `quantbess` only constants, `MarketSeries`
+and the error classes (`test_oracles.py` checks this), so none of them can
+agree with the package merely because it calls the code under test.
 
 Hours are numbered 1..24; a quantile row is the 99 values of one hour on the
 grid q = 0.01, ..., 0.99.
 """
+import csv
+import datetime as _dt
+import os
+
 import numpy as np
 
-from quantbess.errors import InsufficientDataError
-from quantbess.market_data import MarketSeries
+from quantbess.backtest_engine import LEDGERS_FILE, METRICS_FILE, PROFITS_FILE, SELECTION_FILE
+from quantbess.bess_trading import LEDGER_COLUMNS
+from quantbess.errors import GapError, InsufficientDataError, ParseError
+from quantbess.eval_metrics import METRICS
+from quantbess.market_data import DEFAULT_SCHEMA, MarketSeries
 from quantbess.point_model import FEATURE_LAG
 from quantbess.prob_models import QUANTILE_GRID
 
@@ -118,3 +126,183 @@ def regressors(series: MarketSeries, d: int, h: int) -> np.ndarray:
         p[d - 1, h - 1], p[d - 2, h - 1], p[d - 7, h - 1], p[d - 1, 23],
         max(p[d - 1]), min(p[d - 1]), series.loads[d, h - 1], *weekday,
     ])
+
+
+# ---------------------------------------------------------------------------
+# CSV, one row at a time
+# ---------------------------------------------------------------------------
+
+def ingest_csv_by_rows(path, schema=None, delimiter: str = ",", min_days: int = 0) -> MarketSeries:
+    """The dataset reader through `csv.DictReader`: each row is parsed and
+    checked in file order, the rows are sorted by time, and the cells are
+    placed one row at a time."""
+    schema = dict(DEFAULT_SCHEMA, **(schema or {}))
+    rows = []  # (datetime, price, load, line_no)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        if reader.fieldnames is None:
+            raise ParseError(1, "empty file")
+        for key in ("timestamp", "price", "load"):
+            if schema[key] not in reader.fieldnames:
+                raise ParseError(1, f"missing column {schema[key]!r}")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                ts = _dt.datetime.fromisoformat(row[schema["timestamp"]].strip())
+                price = float(row[schema["price"]])
+                load = float(row[schema["load"]])
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ParseError(line_no, str(exc)) from exc
+            if not (np.isfinite(price) and np.isfinite(load)):
+                raise ParseError(line_no, "price and load must be finite")
+            if load < 0:
+                raise ParseError(line_no, f"negative load forecast {load}")
+            rows.append((ts, price, load, line_no))
+    if not rows:
+        raise ParseError(1, "no data rows")
+
+    rows.sort(key=lambda r: r[0])
+    first_date = rows[0][0].date()
+    last_date = rows[-1][0].date()
+    n_days = (last_date - first_date).days + 1
+
+    price_cells = np.full((n_days, 24), np.nan)
+    load_cells = np.full((n_days, 24), np.nan)
+    counts = np.zeros((n_days, 24), dtype=int)
+    for ts, price, load, line_no in rows:
+        d = (ts.date() - first_date).days
+        h = ts.hour
+        if counts[d, h] == 0:
+            price_cells[d, h] = price
+            load_cells[d, h] = load
+        elif counts[d, h] == 1:
+            # DST fall-back duplicate: average the two observations
+            price_cells[d, h] = 0.5 * (price_cells[d, h] + price)
+            load_cells[d, h] = 0.5 * (load_cells[d, h] + load)
+        else:
+            raise ParseError(line_no, f"hour {h} of {ts.date()} appears more than twice")
+        counts[d, h] += 1
+
+    for cells in (price_cells, load_cells):
+        _fill_single_gaps(cells)
+
+    if n_days < min_days:
+        raise InsufficientDataError(
+            f"dataset has {n_days} complete days; at least {min_days} required"
+        )
+    return MarketSeries(
+        prices=price_cells,
+        loads=load_cells,
+        start_weekday=first_date.isoweekday(),
+    )
+
+
+def _fill_single_gaps(cells: np.ndarray) -> None:
+    """Fill isolated missing hours in-place; raise GapError on longer gaps."""
+    flat = cells.reshape(-1)
+    missing = np.flatnonzero(np.isnan(flat))
+    if missing.size == 0:
+        return
+    if missing[0] == 0 or missing[-1] == flat.size - 1:
+        raise GapError("dataset starts or ends with a missing hour")
+    if np.any(np.diff(missing) == 1):
+        raise GapError("gap longer than 1 hour in the hourly sequence")
+    flat[missing] = 0.5 * (flat[missing - 1] + flat[missing + 1])
+
+
+def export_csv_by_rows(series: MarketSeries, path, delimiter: str = ",", start_date=None) -> None:
+    """The dataset writer through `csv.writer`, one hour per row."""
+    if start_date is None:
+        # 2018-01-01 is a Monday
+        start_date = _dt.date(2018, 1, 1) + _dt.timedelta(days=series.start_weekday - 1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(["timestamp", "price", "load_forecast"])
+        for d in range(series.n_days):
+            day = start_date + _dt.timedelta(days=d)
+            for h in range(24):
+                ts = _dt.datetime.combine(day, _dt.time(hour=h))
+                writer.writerow([ts.isoformat(), repr(float(series.prices[d, h])),
+                                 repr(float(series.loads[d, h]))])
+
+
+def _ledger_rows(ledger, k: int):
+    """CSV rows of strategy k in day order; no forced order is written empty."""
+    columns = [getattr(ledger, name)[:, k].tolist() for name in LEDGER_COLUMNS]
+    for (day, h1, h2, bid, offer, bid_acc, offer_acc, forced_buy, forced_sell,
+         cash, bought, sold, start, end) in zip(*columns):
+        yield (
+            day, h1, h2, bid, offer, int(bid_acc), int(offer_acc),
+            forced_buy or "", forced_sell or "",
+            repr(cash), repr(bought), repr(sold), start, end,
+        )
+
+
+def export_ledger_by_rows(ledger, path, extra=None) -> None:
+    """The ledger writer through `csv.writer`, one strategy after another."""
+    extra = extra or {}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*extra.keys(), *LEDGER_COLUMNS])
+        for k in range(ledger.day.shape[1]):
+            for row in _ledger_rows(ledger, k):
+                writer.writerow([*extra.values(), *row])
+
+
+def _profits(ledger) -> list:
+    """Per strategy: cash over traded volume, each summed in day order."""
+    out = []
+    for k in range(ledger.cash_flow.shape[1]):
+        cash = volume = 0.0
+        for c, b, s in zip(ledger.cash_flow[:, k].tolist(), ledger.volume_bought[:, k].tolist(),
+                           ledger.volume_sold[:, k].tolist()):
+            cash += c
+            volume += b + s
+        out.append(cash / volume)
+    return out
+
+
+def write_report_by_rows(report, outdir) -> list:
+    """The report bundle through `csv.writer`, one row at a time."""
+    os.makedirs(outdir, exist_ok=True)
+    config, store = report.config, report.store
+    models, alphas = config.model_registry, config.alphas
+    strategies = [(metric, alpha) for metric in METRICS for alpha in alphas]
+    paths = [os.path.join(outdir, name)
+             for name in (PROFITS_FILE, SELECTION_FILE, METRICS_FILE, LEDGERS_FILE)]
+
+    with open(paths[0], "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha", "metric", "profit_per_mwh"])
+        profits = dict(zip(strategies, _profits(report.ledger)))
+        for alpha in alphas:
+            for metric in METRICS:
+                writer.writerow([alpha, metric, repr(float(profits[(metric, alpha)]))])
+
+    with open(paths[1], "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["day", "metric", "alpha", "chosen_model", *[f"avg_{m}" for m in models]])
+        trading_days = range(config.first_trading_day, report.n_days)
+        for d, chosen, averages in zip(
+            trading_days, report.chosen.tolist(), report.averages.tolist()
+        ):
+            for i, metric in enumerate(METRICS):
+                for j, alpha in enumerate(alphas):
+                    writer.writerow([d, metric, alpha, models[chosen[i][j]],
+                                     *map(repr, averages[i][j])])
+
+    with open(paths[2], "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["day", "model_id", "alpha", *METRICS])
+        # cube [metric, alpha, model, day] -> rows [day][model][alpha]
+        for d, per_model in zip(store.days, store.cube.transpose(3, 2, 1, 0).tolist()):
+            for model, per_alpha in zip(store.registry_order, per_model):
+                for alpha, scores in zip(store.alphas, per_alpha):
+                    writer.writerow([d, model, alpha, *map(repr, scores)])
+
+    with open(paths[3], "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["metric", "alpha", *LEDGER_COLUMNS])
+        for k, (metric, alpha) in enumerate(strategies):
+            for row in _ledger_rows(report.ledger, k):
+                writer.writerow([metric, alpha, *row])
+    return paths

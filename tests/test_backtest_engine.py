@@ -31,7 +31,7 @@ from quantbess.bess_trading import (
     profit_per_mwh,
     settle,
 )
-from quantbess.errors import ConfigError
+from quantbess.errors import BacktestStageError, ConfigError
 from quantbess.eval_metrics import METRICS
 from quantbess.market_data import synth_generate
 from quantbess.point_model import forecast_pool
@@ -39,14 +39,12 @@ from quantbess.prob_models import (
     MEDIAN_INDEX,
     CalibrationInputs,
     ErrorSample,
+    MethodContext,
     get_calibrator,
+    hs_offsets,
     quantile_matrix,
+    register_method,
 )
-
-
-@pytest.fixture(scope="module")
-def small_report(small_series, small_config):
-    return run_backtest(small_series, replace(small_config, keep_forecasts=True))
 
 
 class TestConfig:
@@ -141,6 +139,15 @@ class TestRunBacktest:
         assert store.days == range(small_config.first_forecast_day, small_report.n_days)
         assert store.registry_order == small_config.model_registry
         assert not np.isnan(store.cube).any()
+
+    def test_method_with_98_offsets_fails_at_its_forecast_stage(self, small_series, small_config):
+        tag = "hs_98_test"
+        register_method(tag, lambda inputs: MethodContext(tag, offsets=hs_offsets(inputs.errors)[:98]))
+        config = replace(small_config, model_registry=("hs", tag))
+        with pytest.raises(BacktestStageError) as err:
+            run_backtest(small_series, config)
+        assert (err.value.day, err.value.stage) == (config.first_forecast_day, f"forecast:{tag}")
+        assert f"model {tag!r} produced quantiles of shape (24, 98)" in str(err.value)
 
     def test_golden_profit(self, small_report):
         # Regression pin: frozen after the first verified run of this config.

@@ -526,6 +526,12 @@ class TestForecastConstruction:
         with pytest.raises(TypeError):
             quantile_matrix("hs", point=np.ones(24))
 
+    def test_wrong_shapes_name_the_model(self):
+        with pytest.raises(QuantbessError, match="'short'.*shape \\(24, 98\\)"):
+            quantile_matrix(MethodContext("short", offsets=np.zeros(98)), point=np.zeros(24))
+        with pytest.raises(QuantbessError, match="'bent'.*shape \\(24, 98\\)"):
+            quantile_matrix(MethodContext("bent", betas=np.zeros((98, 3))), pool_day=np.zeros((2, 24)))
+
     def test_sqra_context_uses_qra_start(self, rng):
         pool = rng.normal(40, 5, (150, 2))
         y = pool.mean(axis=1) + rng.normal(0, 2, 150)
