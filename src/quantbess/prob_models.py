@@ -13,8 +13,12 @@ Five methods are provided:
   calibration's, or a coarse interior-point grid), a band of rows near each
   preliminary hyperplane with the rest lumped into two globs, one batched
   interior-point solve of the band LPs, and an exact KKT certificate over
-  all rows.  A certified fit is the LP's unique optimum, computed from its
-  sorted basis rows, so it does not depend on the start or the solve path.
+  all rows.  The band solve retires a quantile as soon as the vertex through
+  its nearest band rows passes the band LP's own certificate, so the batch
+  shrinks as it converges; every array over the full window's rows is built
+  for a bounded block of quantiles at a time.  A certified fit is the LP's
+  unique optimum, computed from its sorted basis rows, so it does not
+  depend on the start or the solve path.
 * ``sqra`` -- the same regression with the check function smoothed by a
   Gaussian kernel of bandwidth H (conquer's loss: He, Pan, Tan & Zhou 2021).
   ``sqra_fit_grid`` solves all 99 quantiles by damped Newton batched over
@@ -266,6 +270,20 @@ _DUAL_MARGIN = 1e-9
 #: Basis matrices with a smaller ratio of extreme singular values are refused.
 _MIN_RCOND = 1e-10
 
+#: Interior-point iteration from which each active quantile's vertex is
+#: tested on every iteration, and the quantile retired once it passes.
+_RETIRE_FROM = 5
+
+#: Quantile x row cells per block of qra's (quantiles, rows) arrays: a block
+#: of an m-row design holds max(1, _QRA_BLOCK_CELLS // m) quantiles.
+_QRA_BLOCK_CELLS = 1 << 15
+
+
+def _blocks(count, rows):
+    """Slices of range(count) with at most max(1, _QRA_BLOCK_CELLS // rows) each."""
+    size = max(1, _QRA_BLOCK_CELLS // rows)
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
 
 def _fitted(X, beta):
     """X @ beta per quantile: X shared (m, n) or one per quantile (Q, m, n)."""
@@ -275,6 +293,24 @@ def _fitted(X, beta):
 def _weighted_sum(w, A):
     """sum_i w[k, i] * A[.., i, :] per quantile k: (Q, m) with (m, p) or (Q, m, p)."""
     return w @ A if A.ndim == 2 else np.matmul(w[:, None, :], A)[:, 0]
+
+
+def _gram(w, X):
+    """X' diag(w[k]) X per quantile k: (Q, n, n) from a shared or per-quantile X."""
+    return np.matmul(np.swapaxes(X, -1, -2) * w[:, None, :], X)
+
+
+def _rows(X, y, rows):
+    """X[rows[k]] and y[rows[k]] per quantile k, from a shared or per-quantile X."""
+    if X.ndim == 2:
+        return X[rows], y[rows]
+    return np.take_along_axis(X, rows[:, :, None], axis=1), np.take_along_axis(y, rows, axis=1)
+
+
+def _nearest_rows(X, y, beta, n):
+    """Per quantile, the n rows that the iterate beta fits most closely."""
+    r = np.abs(y - _fitted(X, beta))
+    return np.argpartition(r, n - 1, axis=1)[:, :n]
 
 
 # An infeasible band LP (b out of reach) makes its iterates diverge until they
@@ -290,50 +326,90 @@ def _qr_ipm(X, y, qs, b=None, beta0=None, max_iter=100, gap_tol=1e-12):
     (Q, m, n) with y (Q, m).  b (Q, n) defaults to 0, where the start a = 0
     is feasible; otherwise each step shrinks the residual b - X'a.  The
     equality multipliers are the coefficients; iterates start from beta0
-    (least squares by default).  Returns the betas of the last iterate, NaN
-    where the iterates diverged.
+    (least squares by default).
+
+    The quantiles run in blocks of `_blocks(Q, m)`, each one compacted batch
+    that shrinks only when quantiles leave it.  From iteration
+    `_RETIRE_FROM` on, every iteration tests the vertex through each active
+    quantile's n nearest rows against this LP's own KKT conditions
+    (`_certify` with this b over these m rows); a quantile that passes
+    leaves with that vertex.  The others leave when they converge, when
+    their iterates diverge (NaN betas) or after `max_iter` iterations, with
+    their last iterate.  Returns (betas, basis), basis holding each
+    quantile's n rows: the certified vertex's, else those nearest its betas.
     """
     qs = np.asarray(qs, dtype=float)
     Q = qs.size
     m, n = X.shape[-2:]
-    Y = np.broadcast_to(y, (Q, m))
     b = np.zeros((Q, n)) if b is None else b
-    lo = (qs - 1.0)[:, None]
-    hi = qs[:, None]
-    scale = 1.0 + np.abs(Y).mean(axis=1)
-    x_scale = 1.0 + np.abs(X).mean(axis=(-2, -1))
-    # Newton matrices are w @ XX, XX holding each row's outer product x x'.
-    XX = (X[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], n * n)
-
-    a = np.zeros((Q, m))
     if beta0 is None:
-        beta = np.tile(np.linalg.lstsq(X, y, rcond=None)[0], (Q, 1))
-    else:
-        beta = np.array(beta0, dtype=float)
-    r = Y - _fitted(X, beta)
+        beta0 = np.tile(np.linalg.lstsq(X, y, rcond=None)[0], (Q, 1))
+    betas = np.empty((Q, n))
+    basis = np.empty((Q, n), dtype=np.intp)
+    for sl in _blocks(Q, m):
+        Xs, ys = (X, y) if X.ndim == 2 else (X[sl], y[sl])
+        betas[sl], basis[sl] = _ipm_batch(Xs, ys, qs[sl], b[sl], beta0[sl], max_iter, gap_tol)
+    return betas, basis
+
+
+def _ipm_batch(X, y, qs, b, beta, max_iter, gap_tol):
+    """One block of `_qr_ipm`, with its arguments sliced to the block."""
+    K = qs.size
+    m, n = X.shape[-2:]
+    per_quantile = X.ndim == 3
+    out_betas = np.empty((K, n))
+    out_basis = np.empty((K, n), dtype=np.intp)
+    live = np.arange(K)
+    y_scale = 1.0 + np.abs(y).mean(axis=-1)
+    x_scale = 1.0 + np.abs(X).mean(axis=(-2, -1))
+    gap_lim = np.broadcast_to(gap_tol * m * y_scale, (K,))
+    dual_lim = np.broadcast_to(1e-9 * y_scale, (K,))
+    primal_lim = np.broadcast_to(1e-9 * m * x_scale, (K,))
+
+    a = np.zeros((K, m))
+    beta = np.array(beta, dtype=float)
+    r = y - _fitted(X, beta)
     z1 = np.maximum(-r, 0.0) + 1.0
     z2 = np.maximum(r, 0.0) + 1.0
-    finite = np.ones(Q, dtype=bool)
+    finite = np.ones(K, dtype=bool)
 
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
+        lo = (qs - 1.0)[:, None]
+        hi = qs[:, None]
         s1 = np.maximum(a - lo, 1e-14)
         s2 = np.maximum(hi - a, 1e-14)
         gap = np.einsum("qm,qm->q", s1, z1) + np.einsum("qm,qm->q", s2, z2)
         dual_res = np.abs(z1 - z2 + r).max(axis=1)
         primal_res = b - _weighted_sum(a, X)
-        converged = (
-            (gap <= gap_tol * m * scale) & (dual_res <= 1e-9 * scale)
-            & (np.abs(primal_res).max(axis=1) <= 1e-9 * m * x_scale)
+        leave = ~finite | (it == max_iter) | (
+            (gap <= gap_lim) & (dual_res <= dual_lim)
+            & (np.abs(primal_res).max(axis=1) <= primal_lim)
         )
-        idx = np.flatnonzero(~converged & finite)
-        if idx.size == 0:
-            break
-        XI, XXI = (X, XX) if X.ndim == 2 else (X[idx], XX[idx])
-        aI, s1I, s2I = a[idx], s1[idx], s2[idx]
-        z1I, z2I, rI, pI = z1[idx], z2[idx], r[idx], primal_res[idx]
-        w_inv = 1.0 / (z1I / s1I + z2I / s2I)
+        rows = None
+        if it >= _RETIRE_FROM:
+            rows = _nearest_rows(X, y, beta, n)
+            vertex, certified = _certify(X, y, qs, rows, b)
+            certified &= finite
+            beta[certified] = vertex[certified]
+            leave |= certified
+        if leave.any():
+            if rows is None:
+                rows = _nearest_rows(X, y, beta, n)
+            beta[~finite] = np.nan
+            out_betas[live[leave]] = beta[leave]
+            out_basis[live[leave]] = rows[leave]
+            keep = ~leave
+            if not keep.any():
+                break
+            live, qs, b, beta, a, z1, z2, r, s1, s2, gap, primal_res = (
+                v[keep] for v in (live, qs, b, beta, a, z1, z2, r, s1, s2, gap, primal_res)
+            )
+            gap_lim, dual_lim, primal_lim = gap_lim[keep], dual_lim[keep], primal_lim[keep]
+            if per_quantile:
+                X, y = X[keep], y[keep]
 
-        M = _weighted_sum(w_inv, XXI).reshape(idx.size, n, n)
+        w_inv = 1.0 / (z1 / s1 + z2 / s2)
+        M = _gram(w_inv, X)
         try:
             M_chol = np.linalg.cholesky(M)
             M_pinv = None
@@ -341,94 +417,92 @@ def _qr_ipm(X, y, qs, b=None, beta0=None, max_iter=100, gap_tol=1e-12):
             M_chol, M_pinv = None, np.linalg.pinv(M)
 
         def newton(g):
-            rhs = _weighted_sum(w_inv * g, XI) - pI
+            rhs = _weighted_sum(w_inv * g, X) - primal_res
             if M_chol is None:
                 dbeta = np.matmul(M_pinv, rhs[:, :, None])[:, :, 0]
             else:
                 half = np.linalg.solve(M_chol, rhs[:, :, None])
                 dbeta = np.linalg.solve(np.transpose(M_chol, (0, 2, 1)), half)[:, :, 0]
-            da = w_inv * (g - _fitted(XI, dbeta))
+            da = w_inv * (g - _fitted(X, dbeta))
             return dbeta, da
 
         def steps(da, dz1, dz2):
-            ap = np.minimum(
-                np.where(da < 0, s1I / -da, np.inf).min(axis=1),
-                np.where(da > 0, s2I / da, np.inf).min(axis=1),
-            )
-            ad = np.minimum(
-                np.where(dz1 < 0, z1I / -dz1, np.inf).min(axis=1),
-                np.where(dz2 < 0, z2I / -dz2, np.inf).min(axis=1),
-            )
-            return np.minimum(1.0, 0.9995 * ap), np.minimum(1.0, 0.9995 * ad)
+            # the longest steps inside the bounds are 1 / max(0, max_i(-da/s1,
+            # da/s2)) for a and 1 / max(0, max_i(-dz1/z1, -dz2/z2)) for z
+            ap = np.maximum(-da / s1, da / s2).max(axis=1)
+            ad = np.maximum(-dz1 / z1, -dz2 / z2).max(axis=1)
+            return (np.minimum(1.0, 0.9995 / np.maximum(ap, 0.0)),
+                    np.minimum(1.0, 0.9995 / np.maximum(ad, 0.0)))
 
         # predictor (affine scaling: mu = 0, no corrector terms)
-        dbeta_a, da_a = newton(rI)
-        dz1_a = -z1I - (z1I / s1I) * da_a
-        dz2_a = -z2I + (z2I / s2I) * da_a
-        ap, ad = steps(da_a, dz1_a, dz2_a)
-        gapI = gap[idx]
+        _, da = newton(r)
+        dz1 = -z1 - (z1 / s1) * da
+        dz2 = -z2 + (z2 / s2) * da
+        ap, ad = steps(da, dz1, dz2)
         gap_aff = (
-            np.einsum("qm,qm->q", s1I + ap[:, None] * da_a, z1I + ad[:, None] * dz1_a)
-            + np.einsum("qm,qm->q", s2I - ap[:, None] * da_a, z2I + ad[:, None] * dz2_a)
+            np.einsum("qm,qm->q", s1 + ap[:, None] * da, z1 + ad[:, None] * dz1)
+            + np.einsum("qm,qm->q", s2 - ap[:, None] * da, z2 + ad[:, None] * dz2)
         )
-        sigma = np.clip((gap_aff / gapI) ** 3, 0.0, 1.0)
-        mu = (sigma * gapI / (2 * m))[:, None]
+        sigma = np.clip((gap_aff / gap) ** 3, 0.0, 1.0)
+        mu = (sigma * gap / (2 * m))[:, None]
 
         # corrector
-        d1 = da_a * dz1_a
-        d2 = -da_a * dz2_a
-        g = rI + (mu - d1) / s1I - (mu - d2) / s2I
-        dbeta, da = newton(g)
-        dz1 = (mu - d1) / s1I - z1I - (z1I / s1I) * da
-        dz2 = (mu - d2) / s2I - z2I + (z2I / s2I) * da
+        c1 = (mu - da * dz1) / s1
+        c2 = (mu + da * dz2) / s2
+        del da, dz1, dz2
+        dbeta, da = newton(r + c1 - c2)
+        dz1 = c1 - z1 - (z1 / s1) * da
+        dz2 = c2 - z2 + (z2 / s2) * da
+        del c1, c2
         ap, ad = steps(da, dz1, dz2)
 
-        a[idx] = aI + ap[:, None] * da
-        beta[idx] = beta[idx] + ad[:, None] * dbeta
-        z1[idx] = z1I + ad[:, None] * dz1
-        z2[idx] = z2I + ad[:, None] * dz2
-        r[idx] = Y[idx] - _fitted(XI, beta[idx])
-        finite[idx] = np.isfinite(
-            beta[idx].sum(axis=1) + z1[idx].sum(axis=1) + z2[idx].sum(axis=1)
-        )
-
-    beta[~finite] = np.nan
-    return beta
+        a += ap[:, None] * da
+        beta += ad[:, None] * dbeta
+        z1 += ad[:, None] * dz1
+        z2 += ad[:, None] * dz2
+        r = y - _fitted(X, beta)
+        finite = np.isfinite(beta.sum(axis=1) + z1.sum(axis=1) + z2.sum(axis=1))
+    return out_betas, out_basis
 
 
-def _nearest_rows(X, y, beta, n):
-    """Per quantile, the n rows that the iterate beta fits most closely."""
-    r = np.abs(y - _fitted(X, beta))
-    return np.argpartition(r, n - 1, axis=1)[:, :n]
-
-
-def _certify(X, y, qs, basis):
+def _certify(X, y, qs, basis, b=None):
     """Exact KKT check of the vertices through the given basis rows.
 
+    The LPs are `_qr_ipm`'s: max y'a s.t. X'a = b (0 by default),
+    q - 1 <= a <= q, with X shared (m, n) or one per quantile (Q, m, n).
     For each quantile, h = sorted(basis[k]) and beta = solve(X[h], y[h]).
     With every other row's dual at its bound (q above the fit, q - 1 below),
-    X_h'a_h = -sum_{i not in h} a_i x_i gives the basis duals.  beta is
+    X_h'a_h = b - sum_{i not in h} a_i x_i gives the basis duals.  beta is
     accepted when X_h is well conditioned, no other row has residual exactly
     0 and every a_h lies inside (q - 1, q) by `_DUAL_MARGIN`; beta is then
-    the LP's unique optimum.  Returns (betas, certified).
+    the LP's unique optimum.  Runs in blocks of `_blocks(Q, m)`.  Returns
+    (betas, certified).
     """
     Q, n = basis.shape
-    h = np.sort(basis, axis=1)
-    Xh, yh = X[h], y[h]
-    sv = np.linalg.svd(Xh, compute_uv=False)
-    ok = sv[:, -1] > _MIN_RCOND * sv[:, 0]
     betas = np.full((Q, n), np.nan)
-    betas[ok] = np.linalg.solve(Xh[ok], yh[ok][:, :, None])[:, :, 0]
-    r = y - betas @ X.T
-    a = np.where(r > 0, qs[:, None], qs[:, None] - 1.0)
-    zero = r == 0
-    np.put_along_axis(a, h, 0.0, axis=1)
-    np.put_along_axis(zero, h, False, axis=1)
-    a_h = np.full((Q, n), np.nan)
-    a_h[ok] = -np.linalg.solve(np.transpose(Xh[ok], (0, 2, 1)), (a[ok] @ X)[:, :, None])[:, :, 0]
-    with np.errstate(invalid="ignore"):
-        inside = (a_h > (qs - 1.0 + _DUAL_MARGIN)[:, None]) & (a_h < (qs - _DUAL_MARGIN)[:, None])
-    return betas, ok & ~zero.any(axis=1) & inside.all(axis=1)
+    certified = np.zeros(Q, dtype=bool)
+    for sl in _blocks(Q, X.shape[-2]):
+        Xs, ys = (X, y) if X.ndim == 2 else (X[sl], y[sl])
+        q = qs[sl, None]
+        h = np.sort(basis[sl], axis=1)
+        Xh, yh = _rows(Xs, ys, h)
+        sv = np.linalg.svd(Xh, compute_uv=False)
+        ok = sv[:, -1] > _MIN_RCOND * sv[:, 0]
+        beta = betas[sl]
+        beta[ok] = np.linalg.solve(Xh[ok], yh[ok][:, :, None])[:, :, 0]
+        r = ys - _fitted(Xs, beta)
+        a = np.where(r > 0, q, q - 1.0)
+        zero = r == 0
+        del r
+        np.put_along_axis(a, h, 0.0, axis=1)
+        np.put_along_axis(zero, h, False, axis=1)
+        rhs = -_weighted_sum(a, Xs) if b is None else b[sl] - _weighted_sum(a, Xs)
+        a_h = np.full(h.shape, np.nan)
+        a_h[ok] = np.linalg.solve(np.transpose(Xh[ok], (0, 2, 1)), rhs[ok][:, :, None])[:, :, 0]
+        with np.errstate(invalid="ignore"):
+            inside = (a_h > q - 1.0 + _DUAL_MARGIN) & (a_h < q - _DUAL_MARGIN)
+        certified[sl] = ok & ~zero.any(axis=1) & inside.all(axis=1)
+    return betas, certified
 
 
 def _band_basis(X, y, qs, prelim):
@@ -439,19 +513,21 @@ def _band_basis(X, y, qs, prelim):
     x_i'(X'X)^-1 x_i.  Every other row is taken to stay on its side, so its
     dual is fixed at q (above) or q - 1 (below) and moves to the right-hand
     side: the band LP is  max y_B'a  s.t.  X_B'a = -sum_{i not in B} a_i x_i.
+    Bands and globs are built in blocks of `_blocks(Q, m)`.
     """
     m, n = X.shape
     k = min(_BAND_ROWS, m)
     leverage = np.maximum(np.sum(np.linalg.qr(X)[0] ** 2, axis=1), np.finfo(float).tiny)
-    r = y - prelim @ X.T
-    band = np.argpartition(r * r / leverage, k - 1, axis=1)[:, :k].copy()
-    a_out = np.where(r > 0, qs[:, None], qs[:, None] - 1.0)
-    np.put_along_axis(a_out, band, 0.0, axis=1)
-    b = -(a_out @ X)
-    del r, a_out  # (Q, m) arrays: free them before the band solve's peak
-    betas = _qr_ipm(X[band], y[band], qs, b=b, beta0=prelim)
-    nearest = _nearest_rows(X[band], y[band], betas, n)
-    return np.take_along_axis(band, nearest, axis=1)
+    band = np.empty((qs.size, k), dtype=np.intp)
+    b = np.empty((qs.size, n))
+    for sl in _blocks(qs.size, m):
+        r = y - _fitted(X, prelim[sl])
+        band[sl] = np.argpartition(r * r / leverage, k - 1, axis=1)[:, :k]
+        a_out = np.where(r > 0, qs[sl, None], qs[sl, None] - 1.0)
+        np.put_along_axis(a_out, band[sl], 0.0, axis=1)
+        b[sl] = -(a_out @ X)
+    _, rows = _qr_ipm(X[band], y[band], qs, b=b, beta0=prelim)
+    return np.take_along_axis(band, rows, axis=1)
 
 
 def qra_fit_grid(
@@ -469,15 +545,22 @@ def qra_fit_grid(
     2. Band and globs: per quantile, the rows nearest the preliminary
        hyperplane by leverage-scaled residual; all other rows are lumped
        into an "above" and a "below" glob whose duals are fixed.
-    3. Band solve: one batched interior-point solve of all band LPs.
-    4. Exact certificate (`_certify`) of the vertex through the n band rows
-       nearest each solution, checked over all rows.
+    3. Band solve: one batched interior-point solve of all band LPs.  From
+       its 5th iteration on, a quantile whose vertex through its n nearest
+       band rows passes the band-local certificate leaves the batch with
+       that basis; the others leave when they converge.
+    4. Exact certificate (`_certify`) of each quantile's basis, checked over
+       all rows.
 
     A certified vertex is the LP's unique optimum, computed from its sorted
     basis rows alone, so the result depends only on (pool, prices, q) and
-    not on `start` or on the solve path.  Quantiles that fail go to the
-    interior-point solve on the full design with the same certificate, and
-    then to the simplex LP `qra_fit`.
+    not on `start`, on the solve path or on when a quantile was retired.
+    Quantiles that fail go to the interior-point solve on the full design
+    with the same certificate, and then to the simplex LP `qra_fit`.  Every
+    (quantiles, rows) array over the full window (the coarse solve, the
+    bands and globs, the certificate, the full-design solve) is built for
+    `_QRA_BLOCK_CELLS` // m quantiles at a time, so the memory peak does
+    not grow with the number of quantiles.
     """
     pool = np.atleast_2d(np.asarray(pool, dtype=float))
     prices = np.asarray(prices, dtype=float)
@@ -495,7 +578,7 @@ def qra_fit_grid(
     if start is None:
         coarse = np.unique(np.r_[0 : qs.size : 5, qs.size - 1])
         coarse = coarse[np.argsort(qs[coarse])]
-        betas = _qr_ipm(X, prices, qs[coarse])
+        betas, _ = _qr_ipm(X, prices, qs[coarse])
         prelim = np.column_stack([np.interp(qs, qs[coarse], betas[:, j]) for j in range(p)])
     else:
         prelim = np.asarray(start, dtype=float)
@@ -505,8 +588,8 @@ def qra_fit_grid(
     out, done = _certify(X, prices, qs, _band_basis(X, prices, qs, prelim))
     rest = np.flatnonzero(~done)
     if rest.size:
-        betas = _qr_ipm(X, prices, qs[rest])
-        fits, certified = _certify(X, prices, qs[rest], _nearest_rows(X, prices, betas, p))
+        _, basis = _qr_ipm(X, prices, qs[rest])
+        fits, certified = _certify(X, prices, qs[rest], basis)
         out[rest[certified]] = fits[certified]
         done[rest[certified]] = True
     for i in np.flatnonzero(~done):
@@ -539,8 +622,8 @@ def sqra_gradient(beta: np.ndarray, X: np.ndarray, y: np.ndarray, q: float, band
     return -X.T @ (q - ndtr(-r / bandwidth))
 
 
-#: Quantiles per block of `sqra_fit_grid`'s batched Newton solve; keeps its
-#: (block, rows) temporaries below the peak of `qra_fit_grid`.
+#: Quantiles per block of `sqra_fit_grid`'s batched Newton solve; bounds its
+#: (block, rows) temporaries.
 _SQRA_BLOCK = 25
 
 #: Relative rounding of the smoothed objective.  A Newton step whose
@@ -658,13 +741,23 @@ def sqra_fit(
 def _sqra_pass(beta, X, y, qs, bandwidth):
     """Objective, gradient and Hessian weights phi(z)/H of the smoothed loss
     at beta (K, p), one row per quantile, from one residual, ndtr and exp
-    pass over the (K, m) residuals."""
-    r = y - beta @ X.T
-    z = r / bandwidth
-    u = qs[:, None] - ndtr(-z)
-    dens = np.exp(-0.5 * z * z) / _SQRT_2PI
-    f = np.sum(bandwidth * dens + r * u, axis=1)
-    return f, -(u @ X), dens / bandwidth
+    pass over the (K, m) residuals.  Four (K, m) buffers hold every
+    temporary; the operations are those of the formulas, in their order."""
+    r = beta @ X.T
+    np.subtract(y, r, out=r)                        # r = y - X beta
+    z = np.divide(r, bandwidth)
+    u = np.negative(z)
+    ndtr(u, out=u)
+    np.subtract(qs[:, None], u, out=u)              # u = q - ndtr(-z)
+    dens = np.multiply(-0.5, z)
+    np.multiply(dens, z, out=dens)
+    np.exp(dens, out=dens)
+    np.divide(dens, _SQRT_2PI, out=dens)            # dens = phi(z)
+    np.multiply(bandwidth, dens, out=z)
+    np.multiply(r, u, out=r)
+    np.add(z, r, out=z)                             # H phi(z) + r u
+    f = np.sum(z, axis=1)
+    return f, -(u @ X), np.divide(dens, bandwidth, out=dens)
 
 
 def _sqra_newton(X, XX, y, qs, bandwidth, beta, gtol):

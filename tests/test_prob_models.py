@@ -312,6 +312,26 @@ class TestQraCertificate:
         assert _refused(ones, y, 0.5, expected)
 
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_rows_are_solves_of_their_certified_bases(self, monkeypatch, warm):
+        """Each row is solve(X[h], y[h]) bit for bit, h the sorted basis the
+        certificate accepts, whether the band solve retired it early or not,
+        and no row needs the simplex fallback."""
+        pool, y = _cycle_window(4368 + 24)
+        start = qra_fit_grid(pool[:-24], y[:-24]) if warm else None
+        pool, y = pool[24:], y[24:]
+        simplex_calls = []
+        monkeypatch.setattr(prob_models, "qra_fit",
+                            lambda *args, **kw: simplex_calls.append(args) or qra_fit(*args, **kw))
+        betas = qra_fit_grid(pool, y, start=start)
+        assert not simplex_calls
+        X = np.column_stack([np.ones(y.size), pool])
+        for q, beta in zip(QUANTILE_GRID, betas):
+            h = np.sort(np.argsort(np.abs(y - X @ beta))[: X.shape[1]])
+            assert _certify(X, y, np.array([q]), h[None, :])[1][0]
+            assert np.array_equal(beta, np.linalg.solve(X[h], y[h]))
+
+
 #: Short qra-only backtests whose calibration windows hold 192 and 4,368 rows.
 PATH_CONFIGS = {
     192: BacktestConfig(point_window=56, prob_window=8, metric_window=1,
@@ -478,19 +498,26 @@ class TestSqraGrid:
         assert np.abs(from_qra - from_lsq).max() <= 1e-12 * scale
         assert np.abs(from_previous - from_lsq).max() <= 1e-12 * scale
 
-    def test_peak_memory_at_most_qra(self):
-        pool, y = _cycle_window()
-        H = default_bandwidth(y - pool.mean(axis=1))
 
-        def peak(fit):
-            tracemalloc.start()
-            try:
-                fit()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+def _peak_bytes(fit):
+    tracemalloc.start()
+    try:
+        fit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-        assert peak(lambda: sqra_fit_grid(pool, y, H)) <= peak(lambda: qra_fit_grid(pool, y))
+
+def test_grid_fits_peak_memory():
+    """Traced peaks on a 4,368 x 5 window: both grids work in bounded blocks
+    of quantiles (about 4.5 MB for qra and 6.7 MB for sqra when written)."""
+    pool, y = _cycle_window()
+    H = default_bandwidth(y - pool.mean(axis=1))
+    assert _peak_bytes(lambda: qra_fit_grid(pool, y)) <= 6e6
+    assert _peak_bytes(lambda: sqra_fit_grid(pool, y, H)) <= 9e6
+    pool, y = _cycle_window(4368 + 24)
+    previous = qra_fit_grid(pool[:-24], y[:-24])
+    assert _peak_bytes(lambda: qra_fit_grid(pool[24:], y[24:], start=previous)) <= 6e6
 
 
 class TestForecastConstruction:
