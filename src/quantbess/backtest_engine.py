@@ -7,12 +7,13 @@ Timeline for day indices (0-based), with defaults 364/182/30:
 * day >= ... + metric_window + 1              -- trading (selection needs a full
   score window ending the previous day)
 
-`run_backtest` makes point forecasts from the first day, since its first
-calibration window needs them.  `run_single_model` starts at the first day it
-reads: the first trading day for the benchmark, else the first day of the
-calibration window of the first trading day.  Either fits the whole pool only
-when a method outside `prob_models.OFFSET_METHODS` reads it, and the primary
-variant alone otherwise.
+One private day loop runs both entry points.  `run_backtest` gives it a
+score store: it forecasts and scores from the first forecast day and selects
+a model per metric and alpha each trading day.  `run_single_model` gives it
+none: it forecasts from the first trading day, and an empty registry (the
+"benchmark" model) trades the price taker.  Point forecasts start at the
+first day the first forecast day reads, and cover the whole pool only when a
+method outside `prob_models.OFFSET_METHODS` reads it.
 
 Forecasts for day d use only data through day d-1 plus day d's load forecast;
 scores for day d are added after day d has been traded, so selection never
@@ -90,6 +91,9 @@ class BacktestConfig:
             out.append("point_window must cover the longest pool window")
         if not self.model_registry:
             out.append("model_registry must be non-empty")
+        repeated = sorted({t for t in self.model_registry if self.model_registry.count(t) > 1})
+        if repeated:
+            out.append(f"model tag(s) {repeated} given more than once")
         for tag in self.model_registry:
             try:
                 get_calibrator(tag)
@@ -106,8 +110,8 @@ class BacktestConfig:
             out.append(f"forced_sell_mode must be one of {bess_trading.FORCED_SELL_MODES}")
         if self.recalibrate_every < 1:
             out.append("recalibrate_every must be >= 1")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            out.append("bandwidth must be positive when given")
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            out.append("bandwidth must be positive and finite when given")
         if n_days is not None and not out and self.first_trading_day >= n_days:
             out.append(
                 f"dataset of {n_days} days too short: warm-up needs "
@@ -161,141 +165,119 @@ def _stage(day, stage, fn, *args, **kwargs):
         raise BacktestStageError(day, stage, exc) from exc
 
 
-class _ForecastPipeline:
-    """Shared per-day machinery: pool forecasts, residuals, model contexts.
+def _calibration_day(config: BacktestConfig, d: int) -> int:
+    """The last day on the schedule that recalibrates every
+    `recalibrate_every` days from the first forecast day, up to day d."""
+    return d - (d - config.first_forecast_day) % config.recalibrate_every
 
-    `registry` holds the methods to calibrate, in order.  The pool's other
-    variants are fitted only when one of them reads the pool.
+
+def _calibrate(series, config, registry, d, primary, pool, previous) -> dict:
+    """Each method of `registry`, in order, calibrated for day d on the
+    window of its calibration day; `pool` is None when no method reads it."""
+    calib_day = _calibration_day(config, d)
+    window_days = range(calib_day - config.prob_window, calib_day)
+    inputs = CalibrationInputs(
+        errors=ErrorSample(np.concatenate([series.prices[t] - primary[t] for t in window_days])),
+        pool=None if pool is None else np.vstack([pool[t].T for t in window_days]),
+        prices=series.prices[window_days.start : calib_day].reshape(-1),
+        bandwidth=config.bandwidth,
+        previous=previous,
+    )
+    contexts = {}
+    for tag in registry:
+        inputs.contexts = contexts
+        contexts[tag] = _stage(d, f"calibrate:{tag}", get_calibrator(tag), inputs)
+    return contexts
+
+
+def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, store=None):
+    """Trade every trading day with `registry`'s models; an empty registry
+    trades the price taker.  With a `store`, days are forecast and scored from
+    the first forecast day and each metric x alpha trades its selected model;
+    without one, forecasts start at the first trading day and every alpha
+    trades the registry's first model.  Returns the ledger, the selections,
+    their averages and the kept forecasts.
     """
+    first = config.first_forecast_day if store is not None else config.first_trading_day
+    start = _calibration_day(config, first) - config.prob_window if registry else first
+    reads_pool = not set(registry) <= set(prob_models.OFFSET_METHODS)
+    solve = None if reads_pool else (config.point_window,)
+    primary, pool = {}, ({} if reads_pool else None)
+    contexts, calibrated = {}, None
+    # with a store, strategies run metric-major, alpha-minor, as chosen.ravel() does
+    alphas = tuple(config.alphas) * (len(METRICS) if store is not None else 1)
+    model = np.zeros(len(alphas), dtype=int)
+    level = np.ones(len(alphas), dtype=int)
+    days, chosen_log, averages_log = [], [], []
+    forecasts = {} if config.keep_forecasts else None
 
-    def __init__(self, series: MarketSeries, config: BacktestConfig, registry: tuple):
-        self.series = series
-        self.config = config
-        self.registry = registry
-        reads_pool = not set(registry) <= set(prob_models.OFFSET_METHODS)
-        self.solve = None if reads_pool else (config.point_window,)
-        self.pool_hist = {}     # day -> (n_var, 24), only when the pool is read
-        self.primary_hist = {}  # day -> (24,)
-        self._contexts = None
-        self._calib_day = None
-
-    def advance_point(self, d: int) -> None:
-        pool, failures = _stage(
+    for d in range(start, series.n_days):
+        forecast, failures = _stage(
             d, "point-pool", point_model.forecast_pool,
-            self.series, d, self.config.pool_window_lengths, self.solve,
+            series, d, config.pool_window_lengths, solve,
         )
         if failures:
-            raise BacktestStageError(
-                d, "point-pool", f"pool variants failed: {sorted(failures)}"
-            )
-        if self.solve is None:
-            self.pool_hist[d] = pool.values
-        self.primary_hist[d] = pool.variant(self.config.point_window)
+            raise BacktestStageError(d, "point-pool", f"pool variants failed: {sorted(failures)}")
+        primary[d] = forecast.variant(config.point_window)
+        if pool is not None:
+            pool[d] = forecast.values
+        if d < first:
+            continue
 
-    def calibration_day(self, d: int) -> int:
-        """The last day on the schedule that recalibrates every
-        `recalibrate_every` days from the first forecast day, up to day d."""
-        return d - (d - self.config.first_forecast_day) % self.config.recalibrate_every
+        if registry:
+            calib_day = _calibration_day(config, d)
+            if calib_day != calibrated:
+                contexts = _calibrate(series, config, registry, d, primary, pool, contexts)
+                calibrated = calib_day
+            matrices = [
+                _stage(d, f"forecast:{tag}", prob_models.quantile_matrix,
+                       contexts[tag], primary[d], None if pool is None else pool[d])
+                for tag in registry
+            ]
+            hours = [bess_trading.choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]
+            if forecasts is not None:
+                forecasts[d] = dict(zip(registry, matrices))
 
-    def first_day_read(self, d: int) -> int:
-        """The first day whose point forecasts day d's forecasts read."""
-        if not self.registry:
-            return d
-        return self.calibration_day(d) - self.config.prob_window
+        # Trade day d before its realized prices influence anything.
+        if d >= config.first_trading_day:
+            if not registry:
+                orders = _stage(d, "orders", bess_trading.benchmark_orders, primary[d])
+            else:
+                if store is not None:
+                    chosen, averages = _stage(
+                        d, "select", store.select, d - 1, config.metric_window, config.coverage_mode,
+                    )
+                    chosen_log.append(chosen)
+                    averages_log.append(averages)
+                    model = chosen.ravel()
+                orders = _stage(
+                    d, "orders", bess_trading.build_orders,
+                    matrices, hours, model, alphas, level, config.forced_sell_mode,
+                )
+            days.append(_stage(d, "settle", bess_trading.settle, orders, series.prices[d], level, d))
+            level = days[-1].end_level[0]
 
-    def contexts_for(self, d: int) -> dict:
-        """Model contexts for day d, calibrated on the window of its
-        calibration day, whichever day the caller starts at."""
-        calib_day = self.calibration_day(d)
-        if calib_day == self._calib_day:
-            return self._contexts
-        window_days = range(calib_day - self.config.prob_window, calib_day)
-        residuals = np.concatenate([
-            self.series.prices[t] - self.primary_hist[t] for t in window_days
-        ])
-        pool_X = None
-        if self.solve is None:
-            pool_X = np.vstack([self.pool_hist[t].T for t in window_days])
-        realized = self.series.prices[window_days.start : calib_day].reshape(-1)
-        inputs = CalibrationInputs(
-            errors=ErrorSample(residuals),
-            pool=pool_X,
-            prices=realized,
-            bandwidth=self.config.bandwidth,
-            previous=self._contexts or {},
-        )
-        contexts = {}
-        for tag in self.registry:
-            inputs.contexts = contexts
-            contexts[tag] = _stage(d, f"calibrate:{tag}", get_calibrator(tag), inputs)
-        self._contexts = contexts
-        self._calib_day = calib_day
-        return contexts
+        # Score day d once trading is done.
+        if store is not None:
+            for tag, qf, hrs in zip(registry, matrices, hours):
+                store.add_scores(d, tag, eval_metrics.daily_scores(
+                    qf, series.prices[d], hrs, config.alphas
+                ))
 
-    def forecast_day(self, d: int) -> tuple[list, list]:
-        """Per model for day d, in registry order: the (24, 99) quantile
-        matrix and the trading hours."""
-        contexts = self.contexts_for(d)
-        matrices = [
-            _stage(
-                d, f"forecast:{tag}", prob_models.quantile_matrix,
-                contexts[tag], self.primary_hist[d], self.pool_hist.get(d),
-            )
-            for tag in self.registry
-        ]
-        return matrices, [bess_trading.choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]
+    return TradeLedger.stack(days), np.array(chosen_log), np.array(averages_log), forecasts
 
 
 def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> BacktestReport:
     """Full experiment: all models, all metrics, all alphas; deterministic."""
     config = config or BacktestConfig()
     config.validate(series.n_days)
-
-    registry = config.model_registry
-    pipeline = _ForecastPipeline(series, config, registry)
-    store = ScoreStore(registry, config.alphas, range(config.first_forecast_day, series.n_days))
-    # strategies run metric-major, alpha-minor, as chosen.ravel() does
-    alphas = tuple(config.alphas) * len(METRICS)
-    level = np.ones(len(alphas), dtype=int)
-    days, chosen_log, averages_log = [], [], []
-    forecasts = {} if config.keep_forecasts else None
-
-    for d in range(config.first_point_day, series.n_days):
-        pipeline.advance_point(d)
-        if d < config.first_forecast_day:
-            continue
-        matrices, hours = pipeline.forecast_day(d)
-        if forecasts is not None:
-            forecasts[d] = dict(zip(registry, matrices))
-
-        # Trade day d before its realized prices influence anything.
-        if d >= config.first_trading_day:
-            chosen, averages = _stage(
-                d, "select", store.select, d - 1, config.metric_window, config.coverage_mode,
-            )
-            chosen_log.append(chosen)
-            averages_log.append(averages)
-            orders = _stage(
-                d, "orders", bess_trading.build_orders,
-                matrices, hours, chosen.ravel(), alphas, level, config.forced_sell_mode,
-            )
-            days.append(_stage(d, "settle", bess_trading.settle, orders, series.prices[d], level, d))
-            level = days[-1].end_level[0]
-
-        # Score day d once trading is done.
-        for tag, qf, hrs in zip(registry, matrices, hours):
-            store.add_scores(d, tag, eval_metrics.daily_scores(
-                qf, series.prices[d], hrs, config.alphas
-            ))
-
+    store = ScoreStore(
+        config.model_registry, config.alphas, range(config.first_forecast_day, series.n_days)
+    )
+    ledger, chosen, averages, forecasts = _day_loop(series, config, config.model_registry, store)
     return BacktestReport(
-        config=config,
-        n_days=series.n_days,
-        ledger=TradeLedger.stack(days),
-        store=store,
-        chosen=np.array(chosen_log),
-        averages=np.array(averages_log),
-        forecasts=forecasts,
+        config=config, n_days=series.n_days, ledger=ledger, store=store,
+        chosen=chosen, averages=averages, forecasts=forecasts,
     )
 
 
@@ -306,39 +288,17 @@ def run_single_model(
     alpha: float = 0.8,
 ) -> TradeLedger:
     """Trade every out-of-sample day with one fixed model (no selection);
-    the ledger holds one strategy.
-
-    `model` may also be "benchmark": price-taker orders at the extremes of
-    the primary point forecast.  Nothing is scored, so the loop starts at the
-    first day it reads: the benchmark fits the primary variant on the trading
-    days only; a model fits, from the first day of the first trading day's
-    calibration window, the primary variant when it is in
-    `prob_models.OFFSET_METHODS` and the whole pool otherwise.
+    the ledger holds one strategy.  `model` may also be "benchmark": the
+    price taker, at the extremes of the primary point forecast.  Nothing is
+    scored, so point forecasts start at the first trading day for the
+    benchmark, else at the first day of that day's calibration window.
     """
     config = replace(config or BacktestConfig(), alphas=(alpha,))
-    if model != "benchmark":
-        config = replace(config, model_registry=(model,))
+    registry = () if model == "benchmark" else (model,)
+    if registry:
+        config = replace(config, model_registry=registry)
     config.validate(series.n_days)
-
-    pipeline = _ForecastPipeline(series, config, () if model == "benchmark" else (model,))
-    level = np.ones(1, dtype=int)
-    days = []
-
-    for d in range(pipeline.first_day_read(config.first_trading_day), series.n_days):
-        pipeline.advance_point(d)
-        if d < config.first_trading_day:
-            continue
-        if model == "benchmark":
-            orders = bess_trading.benchmark_orders(pipeline.primary_hist[d])
-        else:
-            matrices, hours = pipeline.forecast_day(d)
-            orders = _stage(
-                d, "orders", bess_trading.build_orders,
-                matrices, hours, [0], config.alphas, level, config.forced_sell_mode,
-            )
-        days.append(_stage(d, "settle", bess_trading.settle, orders, series.prices[d], level, d))
-        level = days[-1].end_level[0]
-    return TradeLedger.stack(days)
+    return _day_loop(series, config, registry)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,8 @@ class Orders:
 
     h1: np.ndarray
     h2: np.ndarray
-    bid_price: np.ndarray        # buy limit at h1
-    offer_price: np.ndarray      # sell limit at h2
-    bid_unlimited: np.ndarray    # price taker: the bid always fills
-    offer_unlimited: np.ndarray  # price taker: the offer always fills
+    bid_price: np.ndarray        # buy limit at h1 (+inf for the price taker)
+    offer_price: np.ndarray      # sell limit at h2 (-inf for the price taker)
     bid_withdrawn: np.ndarray    # full battery, no forced sell placeable
     offer_withdrawn: np.ndarray  # empty battery, no forced buy placeable
     forced_buy_hour: np.ndarray  # 0 = none
@@ -144,10 +142,8 @@ def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) 
     forced_buy = np.where(level == 0, forced_buy, 0)
     forced_sell = np.where(level == 2, forced_sell, 0)
     qf = np.asarray(quantiles)
-    no = np.zeros(model.shape, dtype=bool)
     return Orders(
         h1=h1, h2=h2, bid_price=qf[model, h1 - 1, up_i], offer_price=qf[model, h2 - 1, lo_i],
-        bid_unlimited=no, offer_unlimited=no,
         # Full battery, no forced discharge: no room to store the h1 purchase.
         bid_withdrawn=(level == 2) & (forced_sell == 0),
         # Empty battery, no forced charge: nothing to deliver at h2.
@@ -157,15 +153,15 @@ def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) 
 
 
 def benchmark_orders(point_forecast) -> Orders:
-    """Price-taker benchmark (K = 1): unlimited buy at the cheapest predicted
-    hour, unlimited sell at the dearest; both always accepted."""
+    """Price-taker benchmark (K = 1): a buy limited at +inf at the cheapest
+    predicted hour and a sell limited at -inf at the dearest, so both fill
+    at any finite price."""
     h1, h2 = choose_hours(point_forecast)
-    yes, no, none = np.ones(1, dtype=bool), np.zeros(1, dtype=bool), np.zeros(1, dtype=int)
+    no, none = np.zeros(1, dtype=bool), np.zeros(1, dtype=int)
     return Orders(
         h1=np.array([h1]), h2=np.array([h2]),
         bid_price=np.array([np.inf]), offer_price=np.array([-np.inf]),
-        bid_unlimited=yes, offer_unlimited=yes, bid_withdrawn=no, offer_withdrawn=no,
-        forced_buy_hour=none, forced_sell_hour=none,
+        bid_withdrawn=no, offer_withdrawn=no, forced_buy_hour=none, forced_sell_hour=none,
     )
 
 
@@ -177,14 +173,12 @@ def settle(orders: Orders, prices, level, day: int = 0) -> TradeLedger:
     The cash adds forced buy, forced sell, bid and offer in that order.
     """
     prices = np.asarray(prices, dtype=float)
-    if prices.shape != (24,):
-        raise ValueError("prices must hold 24 hours")
+    if prices.shape != (24,) or not np.isfinite(prices).all():
+        raise ValueError("prices must hold 24 finite values")
     level = np.asarray(level, dtype=int)
     p_h1, p_h2 = prices[orders.h1 - 1], prices[orders.h2 - 1]
-    bid_accepted = ~orders.bid_withdrawn & (orders.bid_unlimited | (p_h1 <= orders.bid_price))
-    offer_accepted = ~orders.offer_withdrawn & (
-        orders.offer_unlimited | (p_h2 >= orders.offer_price)
-    )
+    bid_accepted = ~orders.bid_withdrawn & (p_h1 <= orders.bid_price)
+    offer_accepted = ~orders.offer_withdrawn & (p_h2 >= orders.offer_price)
     forced_buy, forced_sell = orders.forced_buy_hour > 0, orders.forced_sell_hour > 0
 
     cash = 0.0 - np.where(forced_buy, BUY_FACTOR * prices[orders.forced_buy_hour - 1], 0.0)

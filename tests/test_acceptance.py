@@ -206,8 +206,7 @@ class TestAcceptance:
             return level, Orders(
                 h1=np.full(len(rows), 4), h2=np.full(len(rows), 19),
                 bid_price=np.where(bid, 1e9, -1e9), offer_price=np.where(offer, -1e9, 1e9),
-                bid_unlimited=no, offer_unlimited=no, bid_withdrawn=no, offer_withdrawn=no,
-                forced_buy_hour=np.where(fb, 2, 0), forced_sell_hour=np.where(fs, 3, 0),
+                bid_withdrawn=no, offer_withdrawn=no, forced_buy_hour=np.where(fb, 2, 0), forced_sell_hour=np.where(fs, 3, 0),
             )
 
         level, valid_orders = orders(valid)

@@ -91,6 +91,18 @@ class TestConfig:
         config = replace(small_config, pool_window_lengths=windows)
         assert config.problems(synth_generate(110, seed=0).n_days) == [problem]
 
+    @pytest.mark.parametrize("change, problem", [
+        ({"model_registry": ("hs", "cp", "hs")}, "model tag(s) ['hs'] given more than once"),
+        ({"bandwidth": float("nan")}, "bandwidth must be positive and finite when given"),
+        ({"bandwidth": float("inf")}, "bandwidth must be positive and finite when given"),
+        ({"bandwidth": 0.0}, "bandwidth must be positive and finite when given"),
+    ])
+    def test_bad_registry_or_bandwidth_reported(self, small_config, change, problem):
+        # the first three used to pass; a repeated tag then aborted the run
+        # at its first forecast day with a duplicate score
+        config = replace(small_config, **change)
+        assert config.problems(synth_generate(110, seed=0).n_days) == [problem]
+
     def test_as_dict_round_trip(self, small_config):
         values = small_config.as_dict()
         assert values["point_window"] == 56
@@ -245,6 +257,24 @@ class TestNoLookAhead:
             assert np.array_equal(r1.forecasts[day][tag], r2.forecasts[day][tag])
         assert r1.ledger.day[0, 0] == day
         assert r1.ledger.cash_flow[0].tolist() != r2.ledger.cash_flow[0].tolist()
+
+    @pytest.mark.parametrize("model", ["benchmark", "hs"])
+    def test_single_model_orders_ignore_same_day_prices(self, small_config, model):
+        base = synth_generate(80, seed=21)
+        day = small_config.first_trading_day
+        mutated_prices = base.prices.copy()
+        # a ramp moves the day's cheapest and dearest hours, which orders
+        # built from realized prices would follow
+        mutated_prices[day] += np.linspace(0.0, 100.0, 24)
+        mutated = type(base)(
+            prices=mutated_prices, loads=base.loads, start_weekday=base.start_weekday
+        )
+        l1 = run_single_model(base, small_config, model, 0.8)
+        l2 = run_single_model(mutated, small_config, model, 0.8)
+        assert l1.day[0, 0] == day
+        for name in ("h1", "h2", "bid_price", "offer_price"):
+            assert getattr(l1, name)[0].tolist() == getattr(l2, name)[0].tolist(), name
+        assert l1.cash_flow[0].tolist() != l2.cash_flow[0].tolist()
 
 
 class TestWriteReport:

@@ -53,7 +53,7 @@ def _orders(bid_price, offer_price, forced_buy_hour=0, forced_sell_hour=0):
     return Orders(
         h1=np.array([4]), h2=np.array([19]),
         bid_price=np.array([bid_price], dtype=float), offer_price=np.array([offer_price], dtype=float),
-        bid_unlimited=no, offer_unlimited=no, bid_withdrawn=no, offer_withdrawn=no,
+        bid_withdrawn=no, offer_withdrawn=no,
         forced_buy_hour=np.array([forced_buy_hour]), forced_sell_hour=np.array([forced_sell_hour]),
     )
 
@@ -82,8 +82,7 @@ def _oracle_orders(qf, h1, h2, alpha, level, mode):
     orders = dict(
         h1=h1, h2=h2,
         bid_price=qf[h1 - 1][quantile_index(up)], offer_price=qf[h2 - 1][quantile_index(lo)],
-        bid_unlimited=False, offer_unlimited=False, bid_withdrawn=False, offer_withdrawn=False,
-        forced_buy_hour=0, forced_sell_hour=0,
+        bid_withdrawn=False, offer_withdrawn=False, forced_buy_hour=0, forced_sell_hour=0,
     )
     if level == 0:
         orders["forced_buy_hour"] = _oracle_forced_hour(values, h2, {h1}, maximize=False)
@@ -98,8 +97,8 @@ def _oracle_orders(qf, h1, h2, alpha, level, mode):
 def _oracle_settle(o, prices, level):
     """Settlement of one strategy-day; end level None on an invariant breach."""
     p1, p2 = prices[o["h1"] - 1], prices[o["h2"] - 1]
-    bid = not o["bid_withdrawn"] and (o["bid_unlimited"] or p1 <= o["bid_price"])
-    offer = not o["offer_withdrawn"] and (o["offer_unlimited"] or p2 >= o["offer_price"])
+    bid = not o["bid_withdrawn"] and p1 <= o["bid_price"]
+    offer = not o["offer_withdrawn"] and p2 >= o["offer_price"]
     cash, bought, sold, end = 0.0, 0.0, 0.0, level
     if o["forced_buy_hour"]:
         cash -= BUY_FACTOR * prices[o["forced_buy_hour"] - 1]
@@ -238,6 +237,16 @@ class TestSettle:
         day = settle(_orders(bid_price=35.0, offer_price=35.0), np.full(24, 35.0), [1])
         assert _one(day.bid_accepted) and _one(day.offer_accepted)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_prices_refused(self, bad):
+        # the price taker's +-inf limits fill only against finite prices
+        prices = np.full(24, 35.0)
+        prices[10] = bad
+        with pytest.raises(ValueError, match="prices must hold 24 finite values"):
+            settle(benchmark_orders(np.arange(24.0)), prices, [1])
+        with pytest.raises(ValueError, match="prices must hold 24 finite values"):
+            settle(benchmark_orders(np.arange(24.0)), np.full(23, 35.0), [1])
+
     def test_forced_buy_cash_and_state(self):
         orders = _orders(bid_price=-1000.0, offer_price=1000.0, forced_buy_hour=2)
         day = settle(orders, np.full(24, 50.0), [0])
@@ -334,8 +343,7 @@ class TestArrayStepProperty:
         orders = benchmark_orders(curve)
         h1, h2 = choose_hours(curve)
         o = dict(
-            h1=h1, h2=h2, bid_price=np.inf, offer_price=-np.inf,
-            bid_unlimited=True, offer_unlimited=True, bid_withdrawn=False,
+            h1=h1, h2=h2, bid_price=np.inf, offer_price=-np.inf, bid_withdrawn=False,
             offer_withdrawn=False, forced_buy_hour=0, forced_sell_hour=0,
         )
         assert _columns(orders, 0) == o
@@ -357,8 +365,7 @@ class TestArrayStepProperty:
         orders = Orders(
             h1=np.full(len(strategies), 4), h2=np.full(len(strategies), 19),
             bid_price=np.where(bid, np.inf, -np.inf), offer_price=np.where(offer, -np.inf, np.inf),
-            bid_unlimited=no, offer_unlimited=no, bid_withdrawn=no, offer_withdrawn=no,
-            forced_buy_hour=np.where(fb, 2, 0), forced_sell_hour=np.where(fs, 3, 0),
+            bid_withdrawn=no, offer_withdrawn=no, forced_buy_hour=np.where(fb, 2, 0), forced_sell_hour=np.where(fs, 3, 0),
         )
         expect = [_oracle_settle(_columns(orders, k), prices, int(level[k]))
                   for k in range(len(strategies))]
@@ -376,7 +383,7 @@ class TestBenchmark:
     def test_orders_at_forecast_extremes(self):
         orders = benchmark_orders(_median_curve(4, 19))
         assert (_one(orders.h1), _one(orders.h2)) == (4, 19)
-        assert _one(orders.bid_unlimited) and _one(orders.offer_unlimited)
+        assert (_one(orders.bid_price), _one(orders.offer_price)) == (np.inf, -np.inf)
         prices = np.arange(24.0) + 10.0
         day = settle(orders, prices, [1])
         assert _one(day.bid_accepted) and _one(day.offer_accepted)

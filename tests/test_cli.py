@@ -144,6 +144,20 @@ class TestBacktest:
         assert code == EXIT_USAGE
         assert "pool window(s) [20]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, problem", [
+        ("model_registry = hs, hs", "model tag(s) ['hs'] given more than once"),
+        ("bandwidth = nan", "bandwidth must be positive and finite when given"),
+        ("bandwidth = inf", "bandwidth must be positive and finite when given"),
+    ])
+    def test_bad_registry_or_bandwidth_exit_2(self, dataset, tmp_path, capsys, line, problem):
+        # a repeated tag used to abort at the first forecast day with a traceback
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CONFIG + line + "\n")
+        code = main(["backtest", "--data", str(dataset), "--config", str(cfg),
+                     "--output", str(tmp_path / "report")])
+        assert code == EXIT_USAGE
+        assert problem in capsys.readouterr().err
+
     def test_seed_is_not_a_setting(self, dataset, config_file, tmp_path, capsys):
         cfg = tmp_path / "seeded.cfg"
         cfg.write_text(config_file.read_text() + "seed = 3\n")
