@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as _dt
 import hashlib
 import json
@@ -51,16 +52,20 @@ _BOOL_FIELDS = {"keep_forecasts"}
 def read_config_file(path) -> dict:
     values = {}
     problems = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                problems.append(f"line {line_no}: expected key = value")
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            problems.append(f"line {line_no}: expected key = value")
+            continue
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key] = value
     if problems:
         raise ConfigError(problems)
     return values
@@ -108,6 +113,8 @@ def build_config(values: dict) -> BacktestConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    if args.days < 1:
+        raise UsageError(f"--days must be at least 1, got {args.days}")
     series = market_data.synth_generate(args.days, args.seed, args.regime)
     market_data.export_csv(series, args.output)
     print(f"wrote {args.output}: {series.n_days} days, regime={args.regime}, seed={args.seed}")
@@ -115,26 +122,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    if not os.path.exists(args.input):
-        raise UsageError(f"input file not found: {args.input}")
+    if len(args.delimiter) != 1:
+        raise UsageError(f"--delimiter must be one character, got {args.delimiter!r}")
     schema = {
         "timestamp": args.timestamp_col,
         "price": args.price_col,
         "load": args.load_col,
     }
-    series = market_data.ingest_csv(
-        args.input, schema=schema, delimiter=args.delimiter, min_days=args.min_days
-    )
+    series = _load_dataset(args.input, schema=schema, delimiter=args.delimiter,
+                           min_days=args.min_days)
     market_data.export_csv(series, args.output)
     print(f"wrote {args.output}: {series.n_days} days "
           f"({series.n_days * 24} hourly records)")
     return EXIT_OK
 
 
-def _load_dataset(path) -> market_data.MarketSeries:
+def _load_dataset(path, **options) -> market_data.MarketSeries:
+    """`market_data.ingest_csv(path, **options)`; a missing file is a usage error."""
     if not os.path.exists(path):
         raise UsageError(f"dataset not found: {path}")
-    return market_data.ingest_csv(path)
+    return market_data.ingest_csv(path, **options)
 
 
 def _resolve_outdir(args) -> str:
@@ -197,21 +204,24 @@ def cmd_report(args) -> int:
     manifest_path = os.path.join(outdir, MANIFEST_FILE)
     if os.path.exists(manifest_path):
         with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        for name, digest in manifest.get("files", {}).items():
+            try:
+                files = json.load(fh).get("files", {})
+            except (json.JSONDecodeError, AttributeError) as exc:
+                raise QuantbessError(f"{manifest_path}: not a JSON object ({exc})") from None
+        for name, digest in files.items():
             path = os.path.join(outdir, name)
             if not os.path.exists(path) or _sha256(path) != digest:
                 print(f"warning: checksum mismatch for {name}", file=sys.stderr)
 
-    import csv as _csv
-
     best = {}  # alpha -> (profit, metric)
     with open(profits_path, newline="", encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
-            alpha = float(row["alpha"])
-            profit = float(row["profit_per_mwh"])
-            if alpha not in best or profit > best[alpha][0]:
-                best[alpha] = (profit, row["metric"])
+        try:  # a missing column, a short row (None) or a bad number
+            for row in csv.DictReader(fh):
+                alpha, profit = float(row["alpha"]), float(row["profit_per_mwh"])
+                if alpha not in best or profit > best[alpha][0]:
+                    best[alpha] = (profit, row["metric"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise QuantbessError(f"{profits_path}: {type(exc).__name__}: {exc}") from None
     if not best:
         raise QuantbessError(f"{profits_path} holds no rows")
 
@@ -281,12 +291,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
+    except (UsageError, QuantbessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QuantbessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, (UsageError, ConfigError)) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ Five methods are provided:
   ``sqra_fit_grid`` solves all 99 quantiles by damped Newton batched over
   the quantile axis, warm-started from the previous calibration's sqra (or
   today's qra), and ends each quantile with one free Newton step, so the
-  fit does not depend on its start.
+  fit does not depend on its start.  A quantile the batch leaves unfinished
+  runs the same Newton alone, then an L-BFGS-B finish; ``sqra_fit`` is the
+  grid on one quantile.
 
 Empirical quantiles use linear interpolation of order statistics (numpy's
 default, the "type 7" rule).  Quantile crossing is resolved by sorting the 99
@@ -225,6 +227,29 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
+def _design(pool, prices, qs, intercept, start=None):
+    """Checked inputs of a quantile regression: (X, prices, qs, start), X
+    holding the pool with an intercept column first when `intercept` is set
+    and start a copy of the given start, one row per quantile, or None."""
+    pool = np.atleast_2d(np.asarray(pool, dtype=float))
+    prices = np.asarray(prices, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    bad_q = qs[~((qs > 0.0) & (qs < 1.0))]
+    if bad_q.size:
+        raise ValueError(f"q must be in (0, 1), got {bad_q.flat[0]}")
+    m, n = pool.shape
+    if prices.shape != (m,):
+        raise ValueError("prices length must match the pool history")
+    if m < 10 * n:
+        raise InsufficientDataError(f"{m} observations for {n} regressors; need >= {10 * n}")
+    X = _with_intercept(pool) if intercept else pool
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != (qs.size, X.shape[1]):
+            raise ValueError(f"start must have shape {(qs.size, X.shape[1])}, got {start.shape}")
+    return X, prices, qs, start
+
+
 def qra_fit(pool: np.ndarray, prices: np.ndarray, q: float, intercept: bool = True) -> np.ndarray:
     """Exact pinball-loss minimizer via the dual LP of quantile regression.
 
@@ -232,17 +257,8 @@ def qra_fit(pool: np.ndarray, prices: np.ndarray, q: float, intercept: bool = Tr
     intercept first when `intercept` is set.  Degenerate (e.g. duplicated)
     columns are resolved by the solver's deterministic pivoting.
     """
-    pool = np.atleast_2d(np.asarray(pool, dtype=float))
-    prices = np.asarray(prices, dtype=float)
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must be in (0, 1), got {q}")
-    m, n = pool.shape
-    if prices.shape != (m,):
-        raise ValueError("prices length must match the pool history")
-    if m < 10 * n:
-        raise InsufficientDataError(f"{m} observations for {n} regressors; need >= {10 * n}")
-    X = _with_intercept(pool) if intercept else pool
-    p = X.shape[1]
+    X, prices, _, _ = _design(pool, prices, q, intercept)
+    m, p = X.shape
     # Dual: max prices'a  s.t.  X'a = 0,  q-1 <= a <= q.
     # The equality multipliers recover the primal coefficients.
     res = linprog(
@@ -277,6 +293,11 @@ _RETIRE_FROM = 5
 #: Quantile x row cells per block of qra's (quantiles, rows) arrays: a block
 #: of an m-row design holds max(1, _QRA_BLOCK_CELLS // m) quantiles.
 _QRA_BLOCK_CELLS = 1 << 15
+
+#: Interior-point iterations after which a quantile leaves with its iterate,
+#: and its duality-gap tolerance, relative to m * (1 + mean|y|).
+_IPM_MAX_ITER = 100
+_IPM_GAP_TOL = 1e-12
 
 
 def _blocks(count, rows):
@@ -316,7 +337,7 @@ def _nearest_rows(X, y, beta, n):
 # An infeasible band LP (b out of reach) makes its iterates diverge until they
 # overflow; `finite` then retires that quantile.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _qr_ipm(X, y, qs, b=None, beta0=None, max_iter=100, gap_tol=1e-12):
+def _qr_ipm(X, y, qs, b=None, beta0=None):
     """Primal-dual interior-point solve of quantile-regression dual LPs,
 
         max y'a   s.t.   X'a = b,   q - 1 <= a <= q,
@@ -334,11 +355,10 @@ def _qr_ipm(X, y, qs, b=None, beta0=None, max_iter=100, gap_tol=1e-12):
     quantile's n nearest rows against this LP's own KKT conditions
     (`_certify` with this b over these m rows); a quantile that passes
     leaves with that vertex.  The others leave when they converge, when
-    their iterates diverge (NaN betas) or after `max_iter` iterations, with
-    their last iterate.  Returns (betas, basis), basis holding each
+    their iterates diverge (NaN betas) or after `_IPM_MAX_ITER` iterations,
+    with their last iterate.  Returns (betas, basis), basis holding each
     quantile's n rows: the certified vertex's, else those nearest its betas.
     """
-    qs = np.asarray(qs, dtype=float)
     Q = qs.size
     m, n = X.shape[-2:]
     b = np.zeros((Q, n)) if b is None else b
@@ -348,11 +368,11 @@ def _qr_ipm(X, y, qs, b=None, beta0=None, max_iter=100, gap_tol=1e-12):
     basis = np.empty((Q, n), dtype=np.intp)
     for sl in _blocks(Q, m):
         Xs, ys = (X, y) if X.ndim == 2 else (X[sl], y[sl])
-        betas[sl], basis[sl] = _ipm_batch(Xs, ys, qs[sl], b[sl], beta0[sl], max_iter, gap_tol)
+        betas[sl], basis[sl] = _ipm_batch(Xs, ys, qs[sl], b[sl], beta0[sl])
     return betas, basis
 
 
-def _ipm_batch(X, y, qs, b, beta, max_iter, gap_tol):
+def _ipm_batch(X, y, qs, b, beta):
     """One block of `_qr_ipm`, with its arguments sliced to the block."""
     K = qs.size
     m, n = X.shape[-2:]
@@ -362,7 +382,7 @@ def _ipm_batch(X, y, qs, b, beta, max_iter, gap_tol):
     live = np.arange(K)
     y_scale = 1.0 + np.abs(y).mean(axis=-1)
     x_scale = 1.0 + np.abs(X).mean(axis=(-2, -1))
-    gap_lim = np.broadcast_to(gap_tol * m * y_scale, (K,))
+    gap_lim = np.broadcast_to(_IPM_GAP_TOL * m * y_scale, (K,))
     dual_lim = np.broadcast_to(1e-9 * y_scale, (K,))
     primal_lim = np.broadcast_to(1e-9 * m * x_scale, (K,))
 
@@ -373,7 +393,7 @@ def _ipm_batch(X, y, qs, b, beta, max_iter, gap_tol):
     z2 = np.maximum(r, 0.0) + 1.0
     finite = np.ones(K, dtype=bool)
 
-    for it in range(max_iter + 1):
+    for it in range(_IPM_MAX_ITER + 1):
         lo = (qs - 1.0)[:, None]
         hi = qs[:, None]
         s1 = np.maximum(a - lo, 1e-14)
@@ -381,7 +401,7 @@ def _ipm_batch(X, y, qs, b, beta, max_iter, gap_tol):
         gap = np.einsum("qm,qm->q", s1, z1) + np.einsum("qm,qm->q", s2, z2)
         dual_res = np.abs(z1 - z2 + r).max(axis=1)
         primal_res = b - _weighted_sum(a, X)
-        leave = ~finite | (it == max_iter) | (
+        leave = ~finite | (it == _IPM_MAX_ITER) | (
             (gap <= gap_lim) & (dual_res <= dual_lim)
             & (np.abs(primal_res).max(axis=1) <= primal_lim)
         )
@@ -562,28 +582,12 @@ def qra_fit_grid(
     `_QRA_BLOCK_CELLS` // m quantiles at a time, so the memory peak does
     not grow with the number of quantiles.
     """
-    pool = np.atleast_2d(np.asarray(pool, dtype=float))
-    prices = np.asarray(prices, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    bad_q = qs[~((qs > 0.0) & (qs < 1.0))]
-    if bad_q.size:
-        raise ValueError(f"q must be in (0, 1), got {bad_q[0]}")
-    m, n = pool.shape
-    if prices.shape != (m,):
-        raise ValueError("prices length must match the pool history")
-    if m < 10 * n:
-        raise InsufficientDataError(f"{m} observations for {n} regressors; need >= {10 * n}")
-    X = _with_intercept(pool) if intercept else pool
-    p = X.shape[1]
-    if start is None:
+    X, prices, qs, prelim = _design(pool, prices, qs, intercept, start)
+    if prelim is None:
         coarse = np.unique(np.r_[0 : qs.size : 5, qs.size - 1])
         coarse = coarse[np.argsort(qs[coarse])]
         betas, _ = _qr_ipm(X, prices, qs[coarse])
-        prelim = np.column_stack([np.interp(qs, qs[coarse], betas[:, j]) for j in range(p)])
-    else:
-        prelim = np.asarray(start, dtype=float)
-        if prelim.shape != (qs.size, p):
-            raise ValueError(f"start must have shape {(qs.size, p)}, got {prelim.shape}")
+        prelim = np.column_stack([np.interp(qs, qs[coarse], b) for b in betas.T])
 
     out, done = _certify(X, prices, qs, _band_basis(X, prices, qs, prelim))
     rest = np.flatnonzero(~done)
@@ -633,24 +637,8 @@ _SQRA_ROUNDING = 1e-13
 #: A smoothed fit stops when ||gradient||_inf <= this * m * max(1, std(y)).
 _SQRA_GTOL_SCALE = 1e-9
 
-#: Newton iterations of a smoothed fit before it falls back.
+#: Newton iterations of one `_sqra_newton` call.
 _SQRA_MAX_ITER = 200
-
-
-def _sqra_design(pool, prices, qs, bandwidth, intercept):
-    """Checked inputs of a smoothed fit: (X, prices, qs)."""
-    pool = np.atleast_2d(np.asarray(pool, dtype=float))
-    prices = np.asarray(prices, dtype=float)
-    qs = np.asarray(qs, dtype=float)
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    bad_q = qs[~((qs > 0.0) & (qs < 1.0))]
-    if bad_q.size:
-        raise ValueError(f"q must be in (0, 1), got {bad_q.flat[0]}")
-    m, n = pool.shape
-    if m < 10 * n:
-        raise InsufficientDataError(f"{m} observations for {n} regressors; need >= {10 * n}")
-    return (_with_intercept(pool) if intercept else pool), prices, qs
 
 
 def _sqra_accepts(f, f_new, t, slope, g_inf, g_inf_new):
@@ -663,79 +651,6 @@ def _sqra_accepts(f, f_new, t, slope, g_inf, g_inf_new):
     """
     rounding = -slope < _SQRA_ROUNDING * np.abs(f)
     return (f_new <= f + 1e-4 * t * slope) | (rounding & (g_inf_new < g_inf))
-
-
-def sqra_fit(
-    pool: np.ndarray,
-    prices: np.ndarray,
-    q: float,
-    bandwidth: float,
-    start: np.ndarray | None = None,
-    intercept: bool = True,
-    gtol_scale: float = _SQRA_GTOL_SCALE,
-    max_iter: int = _SQRA_MAX_ITER,
-) -> np.ndarray:
-    """Minimize the smoothed objective by damped Newton with backtracking.
-
-    The objective is convex; the Hessian X' diag(phi(z)/H) X gets a small
-    ridge when nearly singular (tiny bandwidths flatten it far from the
-    solution).  Steps are accepted by `_sqra_accepts`.  Falls back to
-    L-BFGS-B before giving up.
-    """
-    X, prices, _ = _sqra_design(pool, prices, q, bandwidth, intercept)
-    m = X.shape[0]
-    if start is None:
-        beta = np.linalg.lstsq(X, prices, rcond=None)[0]
-    else:
-        beta = np.asarray(start, dtype=float).copy()
-
-    gtol = gtol_scale * m * max(1.0, float(np.std(prices)))
-    f = sqra_objective(beta, X, prices, q, bandwidth)
-    g = sqra_gradient(beta, X, prices, q, bandwidth)
-    for _ in range(max_iter):
-        g_inf = np.linalg.norm(g, np.inf)
-        if g_inf <= gtol:
-            return beta
-        z = (prices - X @ beta) / bandwidth
-        w = _phi(z) / bandwidth
-        hess = X.T @ (w[:, None] * X)
-        ridge = 1e-12 * max(1.0, np.trace(hess) / X.shape[1])
-        try:
-            step = np.linalg.solve(hess + ridge * np.eye(X.shape[1]), -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        slope = g @ step
-        t = 1.0
-        while t > 1e-12:
-            trial = beta + t * step
-            f_new = sqra_objective(trial, X, prices, q, bandwidth)
-            g_new = sqra_gradient(trial, X, prices, q, bandwidth)
-            if _sqra_accepts(f, f_new, t, slope, g_inf, np.linalg.norm(g_new, np.inf)):
-                break
-            t *= 0.5
-        else:
-            break
-        beta, f, g = trial, f_new, g_new
-
-    res = optimize.minimize(
-        lambda b: sqra_objective(b, X, prices, q, bandwidth),
-        beta,
-        jac=lambda b: sqra_gradient(b, X, prices, q, bandwidth),
-        method="L-BFGS-B",
-        options={"maxiter": 500, "gtol": gtol / max(m, 1)},
-    )
-    if res.fun <= f:
-        beta, f = res.x, res.fun
-    g = sqra_gradient(beta, X, prices, q, bandwidth)
-    # Gradient components scale with the column magnitudes of X; judge
-    # convergence relative to that natural scale.
-    g_scale = m * max(1.0, float(np.abs(X).mean()))
-    if np.linalg.norm(g, np.inf) > max(gtol, 1e-6 * g_scale):
-        raise SolverError(
-            f"smoothed quantile regression did not converge (q={q}, H={bandwidth}): "
-            f"gradient norm {np.linalg.norm(g, np.inf):.3e} at objective {f:.6g}, beta={beta}"
-        )
-    return beta
 
 
 def _sqra_pass(beta, X, y, qs, bandwidth):
@@ -764,11 +679,12 @@ def _sqra_newton(X, XX, y, qs, bandwidth, beta, gtol):
     """Damped Newton on a block of quantiles, batched over the block.
 
     Each iteration builds the Hessians X' diag(w) X of the unfinished
-    quantiles as w @ XX.  A quantile whose gradient meets `gtol` takes one
-    more Newton step from the gradient and Hessian already evaluated, and
-    is done; the others search along their Newton steps together, one pass
-    per trial point.  Returns (betas, done); a quantile is not done when its
-    line search stalls or `_SQRA_MAX_ITER` iterations run out.
+    quantiles as w @ XX, plus a small ridge (tiny bandwidths flatten them
+    far from the solution).  A quantile whose gradient meets `gtol` takes
+    one more Newton step from the gradient and Hessian already evaluated,
+    and is done; the others search along their Newton steps together, one
+    pass per trial point.  Returns (betas, done); a quantile is not done
+    when its line search stalls or `_SQRA_MAX_ITER` iterations run out.
     """
     K, p = beta.shape
     beta = beta.copy()
@@ -810,6 +726,33 @@ def _sqra_newton(X, XX, y, qs, bandwidth, beta, gtol):
     return beta, done
 
 
+def _sqra_polish(X, y, q, bandwidth, beta, gtol):
+    """L-BFGS-B finish of one quantile that Newton left unfinished.  Its
+    point is kept if no worse; the gradient's infinity norm must then meet
+    gtol or 1e-6 * m * max(1, mean|X|), else SolverError."""
+    m = X.shape[0]
+    f = sqra_objective(beta, X, y, q, bandwidth)
+    res = optimize.minimize(
+        lambda b: sqra_objective(b, X, y, q, bandwidth),
+        beta,
+        jac=lambda b: sqra_gradient(b, X, y, q, bandwidth),
+        method="L-BFGS-B",
+        options={"maxiter": 500, "gtol": gtol / max(m, 1)},
+    )
+    if res.fun <= f:
+        beta, f = res.x, res.fun
+    g = sqra_gradient(beta, X, y, q, bandwidth)
+    # Gradient components scale with the column magnitudes of X; judge
+    # convergence relative to that natural scale.
+    g_scale = m * max(1.0, float(np.abs(X).mean()))
+    if not np.linalg.norm(g, np.inf) <= max(gtol, 1e-6 * g_scale):  # NaN fails
+        raise SolverError(
+            f"smoothed quantile regression did not converge (q={q}, H={bandwidth}): "
+            f"gradient norm {np.linalg.norm(g, np.inf):.3e} at objective {f:.6g}, beta={beta}"
+        )
+    return beta
+
+
 def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None, intercept=True):
     """All per-quantile smoothed fits, by one damped Newton solve batched
     over the quantile axis; rows follow `qs`.
@@ -819,21 +762,19 @@ def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None, interc
     trial point of a block costs one residual, `ndtr` and `exp` pass, which
     gives the objective, the gradient and the Hessian weights together.
     Steps are accepted by `_sqra_accepts`, and a quantile stops at
-    `sqra_fit`'s default rule, ||g||_inf <= 1e-9 * m * max(1, std(prices)),
-    plus one Newton step from there.  That step is free, and it leaves the
-    result at the optimum to rounding, so it does not depend on the start.
-    A quantile whose line search stalls, or that runs out of iterations,
-    goes to `sqra_fit` from its last iterate, the only path that uses
-    L-BFGS-B.
+    ||g||_inf <= 1e-9 * m * max(1, std(prices)), plus one Newton step from
+    there.  That step is free, and it leaves the result at the optimum to
+    rounding, so it does not depend on the start.  A quantile whose line
+    search stalls, or that runs out of iterations, runs `_sqra_newton` again
+    on its own from its last iterate; one still unfinished after that goes
+    to `_sqra_polish`, the only path that uses L-BFGS-B.
     """
-    X, prices, qs = _sqra_design(pool, prices, qs, bandwidth, intercept)
+    if not 0 < bandwidth < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    X, prices, qs, betas = _design(pool, prices, qs, intercept, starts)
     m, p = X.shape
-    if starts is None:
+    if betas is None:
         betas = np.tile(np.linalg.lstsq(X, prices, rcond=None)[0], (qs.size, 1))
-    else:
-        betas = np.array(starts, dtype=float)
-        if betas.shape != (qs.size, p):
-            raise ValueError(f"starts must have shape {(qs.size, p)}, got {betas.shape}")
     gtol = _SQRA_GTOL_SCALE * m * max(1.0, float(np.std(prices)))
     XX = (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
     done = np.zeros(qs.size, dtype=bool)
@@ -843,8 +784,18 @@ def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None, interc
             X, XX, prices, qs[block], bandwidth, betas[block], gtol
         )
     for i in np.flatnonzero(~done):
-        betas[i] = sqra_fit(pool, prices, qs[i], bandwidth, start=betas[i], intercept=intercept)
+        one = slice(i, i + 1)
+        betas[one], done[one] = _sqra_newton(X, XX, prices, qs[one], bandwidth, betas[one], gtol)
+        if not done[i]:
+            betas[i] = _sqra_polish(X, prices, qs[i], bandwidth, betas[i], gtol)
     return betas
+
+
+def sqra_fit(pool, prices, q, bandwidth, start=None, intercept=True):
+    """The smoothed fit of one quantile q: `sqra_fit_grid` on qs = [q], from
+    `start` (a coefficient vector; least squares by default)."""
+    starts = None if start is None else np.asarray(start, dtype=float)[None, :]
+    return sqra_fit_grid(pool, prices, bandwidth, qs=[q], starts=starts, intercept=intercept)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import datetime as _dt
 import os
 
 import numpy as np
+from scipy.special import erfc
 
 from quantbess.backtest_engine import LEDGERS_FILE, METRICS_FILE, PROFITS_FILE, SELECTION_FILE
 from quantbess.bess_trading import LEDGER_COLUMNS
@@ -103,6 +104,59 @@ def pinball_sum(beta, X, y, q: float) -> float:
     """Total pinball loss of the linear fit X @ beta against y."""
     r = np.asarray(y, dtype=float) - np.asarray(X, dtype=float) @ np.asarray(beta, dtype=float)
     return float(np.sum(np.where(r >= 0, q * r, (q - 1.0) * r)))
+
+
+def _smoothed_check_loss(beta, X, y, q: float, bandwidth: float):
+    """Value, gradient and Hessian in beta of sum_i l(y_i - x_i'beta), where
+    l(r) = E rho_q(r - H Z), Z standard normal, is the check loss smoothed by
+    a Gaussian kernel of bandwidth H: l(r) = H phi(r/H) + r (q - Phi(-r/H)),
+    l'(r) = q - Phi(-r/H) and l''(r) = phi(r/H) / H."""
+    r = y - X @ beta
+    z = r / bandwidth
+    density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    slope = q - 0.5 * erfc(z / np.sqrt(2.0))
+    loss = float(np.sum(bandwidth * density + r * slope))
+    return loss, -X.T @ slope, X.T @ ((density / bandwidth)[:, None] * X)
+
+
+def sqra_newton(pool, prices, q: float, bandwidth: float) -> np.ndarray:
+    """The smoothed quantile regression of `prices` on an intercept and the
+    `pool` columns at level q, by damped Newton from least squares, one
+    quantile at a time.
+
+    The Hessian gets a ridge of 1e-12 * max(1, trace / p).  A step of length
+    t is taken on Armijo's test, or, where the predicted decrease is below
+    1e-13 of the loss (so that differences of the loss are rounding), when
+    it shrinks the gradient's largest component.  The fit stops when that
+    component is at most 1e-9 * m * max(1, std(prices)); a line search that
+    stalls, or 200 iterations, raise ArithmeticError.
+    """
+    y = np.asarray(prices, dtype=float)
+    X = np.column_stack([np.ones(y.size), np.asarray(pool, dtype=float)])
+    m, p = X.shape
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    gtol = 1e-9 * m * max(1.0, float(np.std(y)))
+    f, g, hess = _smoothed_check_loss(beta, X, y, q, bandwidth)
+    for _ in range(200):
+        g_inf = np.abs(g).max()
+        if g_inf <= gtol:
+            return beta
+        ridge = 1e-12 * max(1.0, np.trace(hess) / p)
+        step = np.linalg.solve(hess + ridge * np.eye(p), -g)
+        decrease = -(g @ step)
+        t = 1.0
+        while True:
+            trial = beta + t * step
+            f_new, g_new, hess_new = _smoothed_check_loss(trial, X, y, q, bandwidth)
+            if f_new <= f - 1e-4 * t * decrease or (
+                decrease < 1e-13 * abs(f) and np.abs(g_new).max() < g_inf
+            ):
+                break
+            t *= 0.5
+            if t <= 1e-12:
+                raise ArithmeticError(f"line search stalled at q={q}")
+        beta, f, g, hess = trial, f_new, g_new, hess_new
+    raise ArithmeticError(f"no convergence in 200 iterations at q={q}")
 
 
 def jsu_sample(gamma, delta, xi, lam, size: int, rng) -> np.ndarray:

@@ -7,6 +7,7 @@ the slowest; it is kept last.
 """
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,7 +322,7 @@ class TestAcceptance:
         paths1 = write_report(first, dir1)
         paths2 = write_report(second, dir2)
         for p1, p2 in zip(sorted(paths1), sorted(paths2)):
-            if open(p1, "rb").read() != open(p2, "rb").read():
+            if Path(p1).read_bytes() != Path(p2).read_bytes():
                 failures.append(f"bundle files differ: {p1}")
 
         # no look-ahead: perturbing a trading day's price after the forecasts

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -230,3 +231,51 @@ class TestReport:
 
     def test_missing_directory(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost")]) == EXIT_USAGE
+
+
+def _error_line(capsys) -> str:
+    """The one line, checksum warnings aside, that a refused command writes
+    to stderr."""
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if not line.startswith("warning: ")]
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+class TestInputErrors:
+    """Bad input ends the command with one `error:` line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["backtest", "single"])
+    def test_missing_config_file_exit_2(self, dataset, tmp_path, capsys, command):
+        cfg = tmp_path / "missing.cfg"
+        assert main([command, "--data", str(dataset), "--config", str(cfg)]) == EXIT_USAGE
+        assert str(cfg) in _error_line(capsys)
+
+    def test_config_directory_exit_2(self, dataset, tmp_path, capsys):
+        code = main(["backtest", "--data", str(dataset), "--config", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert str(tmp_path) in _error_line(capsys)
+
+    def test_synth_zero_days_exit_2(self, tmp_path, capsys):
+        assert main(["synth", str(tmp_path / "out.csv"), "--days", "0"]) == EXIT_USAGE
+        assert "--days" in _error_line(capsys)
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_ingest_empty_delimiter_exit_2(self, dataset, tmp_path, capsys):
+        code = main(["ingest", str(dataset), str(tmp_path / "out.csv"), "--delimiter", ""])
+        assert code == EXIT_USAGE
+        assert "--delimiter" in _error_line(capsys)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("profits_by_metric.csv", lambda text: text.replace("profit_per_mwh", "profit", 1)),
+        ("profits_by_metric.csv", lambda text: text.replace("0.5,", "half,", 1)),
+        (MANIFEST_FILE, lambda text: text[: len(text) // 2]),
+        (MANIFEST_FILE, lambda text: "[]"),
+    ], ids=["profit-column", "alpha", "manifest", "manifest-list"])
+    def test_unreadable_bundle_names_the_file(self, report_dir, tmp_path, capsys, name, edit):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(report_dir, bundle)
+        path = bundle / name
+        path.write_text(edit(path.read_text()))
+        assert main(["report", str(bundle)]) == EXIT_RUNTIME
+        assert str(path) in _error_line(capsys)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtri
 
-from oracles import jsu_sample, pinball_sum
+from oracles import jsu_sample, pinball_sum, sqra_newton
 from quantbess import prob_models
 from quantbess.backtest_engine import BacktestConfig, run_backtest
-from quantbess.errors import FitError, InsufficientDataError, QuantbessError
+from quantbess.errors import FitError, InsufficientDataError, QuantbessError, SolverError
 from quantbess.market_data import REGIMES, synth_generate
 from quantbess.prob_models import (
     MEDIAN_INDEX,
@@ -419,6 +419,34 @@ class TestSqra:
         with pytest.raises(ValueError):
             sqra_fit(pool, rng.normal(0, 1, 30), 0.5, bandwidth=0.0)
 
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf])
+    def test_non_finite_bandwidth(self, rng, bandwidth):
+        # a nan bandwidth used to return the least-squares start as the fit
+        pool = rng.normal(0, 1, (30, 1))
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            sqra_fit(pool, rng.normal(0, 1, 30), 0.5, bandwidth=bandwidth)
+
+    def test_nan_price_is_not_a_fit(self, rng):
+        # its nan gradient used to pass the L-BFGS-B finish's check
+        pool = rng.normal(40, 8, (120, 2))
+        prices = pool.mean(axis=1)
+        prices[7] = np.nan
+        with pytest.raises(SolverError):
+            sqra_fit(pool, prices, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n_prices", [1, 119])
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_rejects_mismatched_prices(self, rng, n_prices, with_start):
+        # one price with a start used to broadcast over the pool and fit
+        pool = rng.normal(40, 8, (120, 2))
+        prices = rng.normal(40, 8, n_prices)
+        start = np.array([0.0, 0.5, 0.5]) if with_start else None
+        with pytest.raises(ValueError, match="prices length must match the pool history"):
+            sqra_fit(pool, prices, 0.5, 1.0, start=start)
+        with pytest.raises(ValueError, match="prices length must match the pool history"):
+            sqra_fit_grid(pool, prices, 1.0, qs=[0.3, 0.5],
+                          starts=None if start is None else np.tile(start, (2, 1)))
+
     def test_start_near_optimum_does_not_stall(self, monkeypatch):
         # There a Newton step's predicted decrease is below the rounding of
         # the objective, so Armijo's test passes or fails by chance; the fit
@@ -428,14 +456,14 @@ class TestSqra:
         H = default_bandwidth(y - pool.mean(axis=1))
         X = np.column_stack([np.ones(y.size), pool])
         optimum = sqra_fit(pool, y, q, H)
-        evals = []
-        objective = prob_models.sqra_objective
-        monkeypatch.setattr(prob_models, "sqra_objective",
-                            lambda *args: evals.append(1) or objective(*args))
+        passes = []
+        one_pass = prob_models._sqra_pass
+        monkeypatch.setattr(prob_models, "_sqra_pass",
+                            lambda *args: passes.append(1) or one_pass(*args))
         for rel in (1e-9, 1e-8):
-            evals.clear()
+            passes.clear()
             beta = sqra_fit(pool, y, q, H, start=optimum * (1 + rel))
-            assert len(evals) <= 10
+            assert len(passes) <= 10
             assert np.abs(sqra_gradient(beta, X, y, q, H)).max() <= _gtol(y)
 
 
@@ -458,7 +486,7 @@ def _cycle_window(m=4368, seed=0):
 
 
 def _gtol(prices):
-    """`sqra_fit`'s default stopping tolerance on the gradient."""
+    """The smoothed fits' stopping tolerance on the gradient."""
     return 1e-9 * prices.size * max(1.0, float(np.std(prices)))
 
 
@@ -467,8 +495,9 @@ class TestSqraGrid:
     @given(regime=st.sampled_from(REGIMES), seed=st.integers(0, 50), days=st.integers(14, 182))
     def test_matches_per_quantile_fits(self, regime, seed, days):
         # Tolerance: a point whose gradient meets gtol lies, to first order,
-        # within sqrt(p) * gtol * ||Hess^-1||_2 of the optimum, and
-        # `sqra_fit` may stop anywhere in that ball.  Measured over 27
+        # within sqrt(p) * gtol * ||Hess^-1||_2 of the optimum, and the
+        # one-quantile Newton oracle may stop anywhere in that ball (the
+        # grid ends one Newton step further on).  Measured over 27
         # regime x seed x window cases: at most 8e-4 of the radius.
         pool, y = _hourly_window(regime, seed, days)
         H = default_bandwidth(y - pool.mean(axis=1))
@@ -480,7 +509,35 @@ class TestSqraGrid:
             z = (y - X @ beta) / H
             hess = X.T @ ((np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi) / H)[:, None] * X)
             radius = np.sqrt(X.shape[1]) * gtol * np.linalg.norm(np.linalg.inv(hess), 2)
-            assert np.linalg.norm(beta - sqra_fit(pool, y, q, H)) <= radius
+            assert np.linalg.norm(beta - sqra_newton(pool, y, q, H)) <= radius
+
+    @pytest.mark.parametrize("polish", [False, True])
+    def test_unfinished_quantiles_are_finished(self, monkeypatch, polish):
+        # The batch reports every quantile unfinished; each then runs the
+        # same Newton on its own from the batch's last iterate.  With
+        # `polish`, that reports unfinished too, and L-BFGS-B finishes it.
+        pool, y = _cycle_window()
+        H = default_bandwidth(y - pool.mean(axis=1))
+        qs = QUANTILE_GRID[::7]
+        X = np.column_stack([np.ones(y.size), pool])
+        expected = sqra_fit_grid(pool, y, H, qs=qs)
+        newton, calls = prob_models._sqra_newton, []
+        finish, polished = prob_models._sqra_polish, []
+
+        def unfinished(*args):
+            betas, done = newton(*args)
+            calls.append(len(done))
+            return betas, done & (len(calls) > 1 and not polish)
+
+        monkeypatch.setattr(prob_models, "_sqra_newton", unfinished)
+        monkeypatch.setattr(prob_models, "_sqra_polish",
+                            lambda *args: polished.append(1) or finish(*args))
+        betas = sqra_fit_grid(pool, y, H, qs=qs)
+        assert calls == [qs.size] + [1] * qs.size
+        assert len(polished) == (qs.size if polish else 0)
+        for q, beta, fit in zip(qs, betas, expected):
+            assert np.abs(sqra_gradient(beta, X, y, q, H)).max() <= _gtol(y)
+            assert np.abs(beta - fit).max() <= 1e-12 * np.abs(fit).max()
 
     def test_start_independence(self):
         # starts from qra, from the previous calibration's sqra (the window
