@@ -196,7 +196,11 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
     the first forecast day and each metric x alpha trades its selected model;
     without one, forecasts start at the first trading day and every alpha
     trades the registry's first model.  Returns the ledger, the selections,
-    their averages and the kept forecasts.
+    their averages (None without a store) and the kept forecasts.
+
+    The ledger, selections and averages are allocated once with a row per
+    trading day; each day's settlement and selection is copied into its row
+    and dropped, so nothing per day outlives the day.
     """
     first = config.first_forecast_day if store is not None else config.first_trading_day
     start = _calibration_day(config, first) - config.prob_window if registry else first
@@ -208,7 +212,13 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
     alphas = tuple(config.alphas) * (len(METRICS) if store is not None else 1)
     model = np.zeros(len(alphas), dtype=int)
     level = np.ones(len(alphas), dtype=int)
-    days, chosen_log, averages_log = [], [], []
+    trading_days = range(config.first_trading_day, series.n_days)
+    ledger = TradeLedger.empty(len(trading_days), len(alphas))
+    chosen = averages = None
+    if store is not None:
+        selections = (len(trading_days), len(METRICS), len(config.alphas))
+        chosen = np.empty(selections, dtype=int)
+        averages = np.empty(selections + (len(registry),))
     forecasts = {} if config.keep_forecasts else None
 
     for d in range(start, series.n_days):
@@ -239,23 +249,24 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
                 forecasts[d] = dict(zip(registry, matrices))
 
         # Trade day d before its realized prices influence anything.
-        if d >= config.first_trading_day:
+        if d in trading_days:
+            row = d - trading_days.start
             if not registry:
                 orders = _stage(d, "orders", bess_trading.benchmark_orders, primary[d])
             else:
                 if store is not None:
-                    chosen, averages = _stage(
+                    chosen[row], averages[row] = _stage(
                         d, "select", store.select, d - 1, config.metric_window, config.coverage_mode,
                     )
-                    chosen_log.append(chosen)
-                    averages_log.append(averages)
-                    model = chosen.ravel()
+                    model = chosen[row].ravel()
                 orders = _stage(
                     d, "orders", bess_trading.build_orders,
                     matrices, hours, model, alphas, level, config.forced_sell_mode,
                 )
-            days.append(_stage(d, "settle", bess_trading.settle, orders, series.prices[d], level, d))
-            level = days[-1].end_level[0]
+            settled = _stage(d, "settle", bess_trading.settle, orders, series.prices[d], level, d)
+            for name in bess_trading.LEDGER_COLUMNS:
+                getattr(ledger, name)[row] = getattr(settled, name)[0]
+            level = ledger.end_level[row]
 
         # Score day d once trading is done.
         if store is not None:
@@ -264,7 +275,7 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
                     qf, series.prices[d], hrs, config.alphas
                 ))
 
-    return TradeLedger.stack(days), np.array(chosen_log), np.array(averages_log), forecasts
+    return ledger, chosen, averages, forecasts
 
 
 def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> BacktestReport:

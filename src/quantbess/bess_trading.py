@@ -9,9 +9,12 @@ order when the day starts empty (buy) or full (sell).
 
 A day's K strategies are traded as columns.  `build_orders` (or
 `benchmark_orders`, K = 1) returns an `Orders` record of (K,) arrays and
-`settle` returns that day's `TradeLedger`, whose fields are (1, K) arrays;
-`TradeLedger.stack` joins days into (day, strategy) arrays.  Hours run
-1..24, and a forced hour of 0 means no forced order.
+`settle` returns that day's `TradeLedger`, whose fields are (1, K) arrays.
+A run's ledger is allocated once by `TradeLedger.empty` as (day, strategy)
+arrays, and each settled day is copied into its row.  Every ledger holds the
+column dtypes of LEDGER_DTYPES: hours, forced hours and levels as int8, the
+fill flags as bool, the day as int32, prices, cash and volumes as float64.
+Hours run 1..24, and a forced hour of 0 means no forced order.
 """
 from __future__ import annotations
 
@@ -65,12 +68,23 @@ class TradeLedger:
     end_level: np.ndarray
 
     @classmethod
-    def stack(cls, days) -> "TradeLedger":
-        """One ledger from one-day ledgers, in the given day order."""
-        return cls(*(np.concatenate([getattr(d, name) for d in days]) for name in LEDGER_COLUMNS))
+    def empty(cls, n_days: int, n_strategies: int) -> "TradeLedger":
+        """A ledger of `n_days` rows, to be filled a day at a time."""
+        return cls(*(np.empty((n_days, n_strategies), LEDGER_DTYPES[name])
+                     for name in LEDGER_COLUMNS))
 
 
 LEDGER_COLUMNS = tuple(f.name for f in fields(TradeLedger))
+
+#: The dtype of each ledger column; hours (0..24) and levels (0..2) fit int8.
+LEDGER_DTYPES = {
+    "day": np.int32, "h1": np.int8, "h2": np.int8,
+    "bid_price": np.float64, "offer_price": np.float64,
+    "bid_accepted": np.bool_, "offer_accepted": np.bool_,
+    "forced_buy_hour": np.int8, "forced_sell_hour": np.int8,
+    "cash_flow": np.float64, "volume_bought": np.float64, "volume_sold": np.float64,
+    "start_level": np.int8, "end_level": np.int8,
+}
 
 
 def _day_total(column) -> np.ndarray:
@@ -80,11 +94,11 @@ def _day_total(column) -> np.ndarray:
 
 
 def profit_per_mwh(ledger: TradeLedger) -> np.ndarray:
-    """Per strategy: total cash flow divided by total traded volume (bought + sold)."""
+    """Per strategy: total cash flow divided by total traded volume (bought +
+    sold); nan for a strategy that never traded, whose ratio is undefined."""
     volume = _day_total(ledger.volume_bought + ledger.volume_sold)
-    if (volume <= 0).any():
-        raise ValueError("no traded volume; profit per MWh undefined")
-    return _day_total(ledger.cash_flow) / volume
+    cash = _day_total(ledger.cash_flow)
+    return np.divide(cash, volume, out=np.full_like(cash, np.nan), where=volume > 0)
 
 
 def choose_hours(median_forecast) -> tuple[int, int]:
@@ -202,7 +216,8 @@ def settle(orders: Orders, prices, level, day: int = 0) -> TradeLedger:
         bid_accepted, offer_accepted, orders.forced_buy_hour, orders.forced_sell_hour,
         cash, bought, sold, level, end,
     )
-    return TradeLedger(*(np.asarray(c)[None, :] for c in columns))
+    return TradeLedger(*(np.asarray(column, LEDGER_DTYPES[name])[None, :]
+                         for name, column in zip(LEDGER_COLUMNS, columns)))
 
 
 #: A forced hour as written: 0, no forced order, is written empty.

@@ -13,6 +13,7 @@ import csv
 import datetime as _dt
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -156,6 +157,9 @@ def cmd_backtest(args) -> int:
     config.validate(series.n_days)
 
     report = backtest_engine.run_backtest(series, config)
+    # the point model's design tensor lives as long as the series; free it
+    # before the writer allocates its blocks
+    del series
     outdir = _resolve_outdir(args)
     paths = backtest_engine.write_report(report, outdir)
 
@@ -208,6 +212,8 @@ def cmd_report(args) -> int:
                 files = json.load(fh).get("files", {})
             except (json.JSONDecodeError, AttributeError) as exc:
                 raise QuantbessError(f"{manifest_path}: not a JSON object ({exc})") from None
+        if not isinstance(files, dict):
+            raise QuantbessError(f'{manifest_path}: "files" is not a JSON object')
         for name, digest in files.items():
             path = os.path.join(outdir, name)
             if not os.path.exists(path) or _sha256(path) != digest:
@@ -218,7 +224,10 @@ def cmd_report(args) -> int:
         try:  # a missing column, a short row (None) or a bad number
             for row in csv.DictReader(fh):
                 alpha, profit = float(row["alpha"]), float(row["profit_per_mwh"])
-                if alpha not in best or profit > best[alpha][0]:
+                # a strategy that never traded (nan) ranks below every number
+                if math.isnan(profit):
+                    best.setdefault(alpha, (profit, "none traded"))
+                elif alpha not in best or math.isnan(best[alpha][0]) or profit > best[alpha][0]:
                     best[alpha] = (profit, row["metric"])
         except (KeyError, TypeError, ValueError) as exc:
             raise QuantbessError(f"{profits_path}: {type(exc).__name__}: {exc}") from None

@@ -279,6 +279,13 @@ def export_csv_by_rows(series: MarketSeries, path, delimiter: str = ",", start_d
                                  repr(float(series.loads[d, h]))])
 
 
+def stack_ledgers(days):
+    """One ledger of the days' ledgers, each column joined in the given day
+    order; the ledger type is the days' own."""
+    return type(days[0])(*(np.concatenate([getattr(d, name) for d in days])
+                           for name in LEDGER_COLUMNS))
+
+
 def _ledger_rows(ledger, k: int):
     """CSV rows of strategy k in day order; no forced order is written empty."""
     columns = [getattr(ledger, name)[:, k].tolist() for name in LEDGER_COLUMNS]
@@ -311,7 +318,7 @@ def _profits(ledger) -> list:
                            ledger.volume_sold[:, k].tolist()):
             cash += c
             volume += b + s
-        out.append(cash / volume)
+        out.append(cash / volume if volume else float("nan"))
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     sp_pinball_buy,
     sp_pinball_buysell,
     sp_pinball_sell,
+    stack_ledgers,
 )
 from quantbess.backtest_engine import (
     BacktestConfig,
@@ -22,9 +24,10 @@ from quantbess.backtest_engine import (
     run_single_model,
     write_report,
 )
+from quantbess import bess_trading
 from quantbess.bess_trading import (
     LEDGER_COLUMNS,
-    TradeLedger,
+    LEDGER_DTYPES,
     benchmark_orders,
     build_orders,
     choose_hours,
@@ -32,7 +35,7 @@ from quantbess.bess_trading import (
     settle,
 )
 from quantbess.errors import BacktestStageError, ConfigError
-from quantbess.eval_metrics import METRICS
+from quantbess.eval_metrics import DEFAULT_ALPHAS, METRICS
 from quantbess.market_data import synth_generate
 from quantbess.point_model import forecast_pool
 from quantbess.prob_models import (
@@ -167,6 +170,46 @@ class TestRunBacktest:
         assert profit == pytest.approx(GOLDEN_PINBALL_ALL_08, abs=1e-9)
 
 
+class TestLedgerInPlace:
+    """The day loop copies each settled day into one preallocated ledger."""
+
+    @pytest.mark.parametrize("run", [
+        lambda series, config: run_backtest(series, config).ledger,
+        lambda series, config: run_single_model(series, config, "benchmark"),
+    ], ids=["backtest", "benchmark"])
+    def test_ledger_is_the_settled_days_stacked(self, small_series, small_config, monkeypatch, run):
+        settled = []
+
+        def recording_settle(*args, **kwargs):
+            settled.append(settle(*args, **kwargs))
+            return settled[-1]
+
+        monkeypatch.setattr(bess_trading, "settle", recording_settle)
+        ledger = run(small_series, replace(small_config, model_registry=("hs", "cp")))
+        want = stack_ledgers(settled)
+        for name in LEDGER_COLUMNS:
+            got = getattr(ledger, name)
+            assert got.dtype == getattr(want, name).dtype == LEDGER_DTYPES[name], name
+            assert np.array_equal(got, getattr(want, name)), name
+
+    def test_traced_peak_within_budget_of_the_report(self, small_config):
+        """What a run keeps is its report; everything else it allocates stays
+        under a fixed budget.  Per-day ledgers kept until the end, and a
+        stacked copy of them, would add about twice the ledger."""
+        series = synth_generate(150, seed=11, regime="low")
+        config = replace(small_config, model_registry=("hs", "cp"), alphas=DEFAULT_ALPHAS)
+        tracemalloc.start()
+        try:
+            report = run_backtest(series, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(report.ledger, name).nbytes for name in LEDGER_COLUMNS)
+        kept += report.chosen.nbytes + report.averages.nbytes + report.store.cube.nbytes
+        assert len(report.trading_days) == 73 and kept > 1_000_000
+        assert peak - kept < 1_500_000, (peak, kept)
+
+
 class TestRunSingleModel:
     # run_single_model calibrates qra cold on its first day, where
     # run_backtest starts it from the previous calibration's betas.
@@ -238,7 +281,7 @@ def _full_schedule_single(series, config, model):
                                   config.alphas, level, config.forced_sell_mode)
         days.append(settle(orders, series.prices[d], level, d))
         level = days[-1].end_level[0]
-    return TradeLedger.stack(days)
+    return stack_ledgers(days)
 
 
 class TestNoLookAhead:

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantbess.backtest_engine import BacktestConfig, BacktestReport
+from oracles import stack_ledgers
 from quantbess.bess_trading import (
     BUY_FACTOR,
     FORCED_SELL_MODES,
     LEDGER_COLUMNS,
+    LEDGER_DTYPES,
     SELL_FACTOR,
     Orders,
     TradeLedger,
@@ -415,21 +417,36 @@ class TestLedger:
         return settle(_orders(bid_price=100.0, offer_price=0.0), prices, [1], day=day)
 
     def test_profit_per_mwh(self):
-        ledger = TradeLedger.stack([self._round_trip_day()])
+        ledger = stack_ledgers([self._round_trip_day()])
         cash = 0.9 * 100.0 - 20.0 / 0.9
         volume = 0.9 + 1.0 / 0.9
         assert _one(profit_per_mwh(ledger)) == pytest.approx(cash / volume)
         assert _one(profit_per_mwh(ledger)) == pytest.approx(33.70, abs=0.005)
 
-    def test_empty_ledger_rejected(self):
-        with pytest.raises(ValueError):
-            profit_per_mwh(_ledger(cash_flow=np.zeros((0, 1))))
-        with pytest.raises(ValueError):
-            profit_per_mwh(_ledger(cash_flow=np.ones((3, 2))))
+    def test_no_volume_gives_nan(self):
+        # a strategy that never traded has no ratio; the others keep theirs
+        assert np.isnan(profit_per_mwh(_ledger(cash_flow=np.zeros((0, 1))))).all()
+        assert np.isnan(profit_per_mwh(_ledger(cash_flow=np.ones((3, 2))))).all()
+        day = self._round_trip_day()
+        idle = settle(_orders(bid_price=0.0, offer_price=1000.0), np.full(24, 50.0), [1])
+        both = TradeLedger(*(np.hstack([getattr(day, name), getattr(idle, name)])
+                             for name in LEDGER_COLUMNS))
+        got = profit_per_mwh(both)
+        assert got[0] == _one(profit_per_mwh(day)) and np.isnan(got[1])
+
+    def test_settle_columns_have_ledger_dtypes(self):
+        day = self._round_trip_day(day=700)
+        assert {name: getattr(day, name).dtype for name in LEDGER_COLUMNS} == {
+            name: np.dtype(dtype) for name, dtype in LEDGER_DTYPES.items()
+        }
+        assert list(LEDGER_DTYPES) == list(LEDGER_COLUMNS)
+        empty = TradeLedger.empty(3, 2)
+        assert all(getattr(empty, name).dtype == LEDGER_DTYPES[name] for name in LEDGER_COLUMNS)
+        assert empty.cash_flow.shape == (3, 2)
 
     def test_ratio_invariance(self):
-        one = TradeLedger.stack([self._round_trip_day(0)])
-        two = TradeLedger.stack([self._round_trip_day(0), self._round_trip_day(1)])
+        one = stack_ledgers([self._round_trip_day(0)])
+        two = stack_ledgers([self._round_trip_day(0), self._round_trip_day(1)])
         assert _one(profit_per_mwh(one)) == pytest.approx(_one(profit_per_mwh(two)))
         assert two.day.tolist() == [[0], [1]]
 
@@ -457,7 +474,7 @@ class TestLedger:
         assert list(report.profit_table()) == [(m, a) for m in METRICS for a in config.alphas]
 
     def test_export(self, tmp_path):
-        ledger = TradeLedger.stack([self._round_trip_day()])
+        ledger = stack_ledgers([self._round_trip_day()])
         path = tmp_path / "ledger.csv"
         export_ledger(ledger, path, extra={"model": "hs"})
         lines = path.read_text().strip().splitlines()

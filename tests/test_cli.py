@@ -209,6 +209,59 @@ class TestSingle:
         assert "0.85" in capsys.readouterr().err
 
 
+NEVER_TRADES_CONFIG = """\
+point_window = 56
+pool_window_lengths = 30, 56
+prob_window = 28
+metric_window = 1
+model_registry = hs, cp
+alphas = 0.02, 0.5
+"""
+
+
+class TestStrategyThatNeverTrades:
+    """alpha 0.02 on a 94-day series: one trading day, on which no 0.02
+    strategy trades.  Its profit per MWh is undefined and written as nan."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("never_trades")
+        assert main(["synth", str(root / "series.csv"), "--days", "94", "--seed", "1"]) == EXIT_OK
+        (root / "never.cfg").write_text(NEVER_TRADES_CONFIG)
+        return root / "series.csv", root / "never.cfg"
+
+    def test_backtest_writes_nan_and_report_ranks_numbers(self, inputs, tmp_path, capsys):
+        data, cfg = inputs
+        outdir = tmp_path / "report"
+        code = main(["backtest", "--data", str(data), "--config", str(cfg), "--output", str(outdir)])
+        assert code == EXIT_OK
+        rows = (outdir / "profits_by_metric.csv").read_text().splitlines()[1:]
+        assert {row.rsplit(",", 1)[1] for row in rows if row.startswith("0.02,")} == {"nan"}
+        assert all(row.rsplit(",", 1)[1] != "nan" for row in rows if row.startswith("0.5,"))
+        capsys.readouterr()
+        assert main(["report", str(outdir)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["0.02", "none", "traded", "nan"]
+        assert lines[2].split()[0] == "0.50" and lines[2].split()[2] != "nan"
+
+    def test_report_skips_nan_rows(self, report_dir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(report_dir, bundle)
+        (bundle / MANIFEST_FILE).unlink()
+        path = bundle / "profits_by_metric.csv"
+        path.write_text("alpha,metric,profit_per_mwh\n0.5,pinball_all,nan\n"
+                        "0.5,pinball_sell,1.5\n0.5,pinball_buy,nan\n")
+        assert main(["report", str(bundle)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].split() == ["0.50", "pinball_sell", "1.5000"]
+
+    def test_single_prints_nan(self, inputs, capsys):
+        data, cfg = inputs
+        code = main(["single", "--data", str(data), "--config", str(cfg),
+                     "--model", "hs", "--alpha", "0.02"])
+        assert code == EXIT_OK
+        assert "profit_per_mwh=nan" in capsys.readouterr().out
+
+
 class TestReport:
     def test_summary_table(self, report_dir, capsys):
         assert main(["report", str(report_dir)]) == EXIT_OK
@@ -271,7 +324,8 @@ class TestInputErrors:
         ("profits_by_metric.csv", lambda text: text.replace("0.5,", "half,", 1)),
         (MANIFEST_FILE, lambda text: text[: len(text) // 2]),
         (MANIFEST_FILE, lambda text: "[]"),
-    ], ids=["profit-column", "alpha", "manifest", "manifest-list"])
+        (MANIFEST_FILE, lambda text: '{"files": []}'),
+    ], ids=["profit-column", "alpha", "manifest", "manifest-list", "manifest-files-list"])
     def test_unreadable_bundle_names_the_file(self, report_dir, tmp_path, capsys, name, edit):
         bundle = tmp_path / "bundle"
         shutil.copytree(report_dir, bundle)
