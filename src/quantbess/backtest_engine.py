@@ -22,6 +22,7 @@ sees same-day information.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,7 +51,6 @@ class BacktestConfig:
     forced_sell_mode: str = "before_h2"
     recalibrate_every: int = 1
     bandwidth: float | None = None
-    keep_forecasts: bool = False
 
     @property
     def first_point_day(self) -> int:
@@ -99,11 +99,13 @@ class BacktestConfig:
                 get_calibrator(tag)
             except KeyError:
                 out.append(f"unknown model tag {tag!r}")
+        if not self.alphas:
+            out.append("alphas must be non-empty")
         for alpha in self.alphas:
             try:
                 eval_metrics.alpha_quantiles(alpha)
-            except ValueError:
-                out.append(f"alpha {alpha} does not land on the 1% quantile grid")
+            except ValueError as exc:
+                out.append(str(exc))
         if self.coverage_mode not in COVERAGE_MODES:
             out.append(f"coverage_mode must be one of {COVERAGE_MODES}")
         if self.forced_sell_mode not in bess_trading.FORCED_SELL_MODES:
@@ -138,7 +140,6 @@ class BacktestReport:
     store: ScoreStore                  # every forecast day's scores
     chosen: np.ndarray                 # (trading day, metric, alpha) -> registry index
     averages: np.ndarray               # (trading day, metric, alpha, model) rolling means
-    forecasts: dict | None = None      # day -> {model: (24, 99)} when kept
 
     @property
     def first_trading_day(self) -> int:
@@ -176,16 +177,16 @@ def _calibrate(series, config, registry, d, primary, pool, previous) -> dict:
     window of its calibration day; `pool` is None when no method reads it."""
     calib_day = _calibration_day(config, d)
     window_days = range(calib_day - config.prob_window, calib_day)
+    contexts = {}
     inputs = CalibrationInputs(
         errors=ErrorSample(np.concatenate([series.prices[t] - primary[t] for t in window_days])),
         pool=None if pool is None else np.vstack([pool[t].T for t in window_days]),
         prices=series.prices[window_days.start : calib_day].reshape(-1),
         bandwidth=config.bandwidth,
+        contexts=contexts,
         previous=previous,
     )
-    contexts = {}
     for tag in registry:
-        inputs.contexts = contexts
         contexts[tag] = _stage(d, f"calibrate:{tag}", get_calibrator(tag), inputs)
     return contexts
 
@@ -195,8 +196,8 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
     trades the price taker.  With a `store`, days are forecast and scored from
     the first forecast day and each metric x alpha trades its selected model;
     without one, forecasts start at the first trading day and every alpha
-    trades the registry's first model.  Returns the ledger, the selections,
-    their averages (None without a store) and the kept forecasts.
+    trades the registry's first model.  Returns the ledger, the selections
+    and their averages (None without a store).
 
     The ledger, selections and averages are allocated once with a row per
     trading day; each day's settlement and selection is copied into its row
@@ -219,7 +220,6 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
         selections = (len(trading_days), len(METRICS), len(config.alphas))
         chosen = np.empty(selections, dtype=int)
         averages = np.empty(selections + (len(registry),))
-    forecasts = {} if config.keep_forecasts else None
 
     for d in range(start, series.n_days):
         forecast, failures = _stage(
@@ -245,8 +245,6 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
                 for tag in registry
             ]
             hours = [bess_trading.choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]
-            if forecasts is not None:
-                forecasts[d] = dict(zip(registry, matrices))
 
         # Trade day d before its realized prices influence anything.
         if d in trading_days:
@@ -275,7 +273,7 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
                     qf, series.prices[d], hrs, config.alphas
                 ))
 
-    return ledger, chosen, averages, forecasts
+    return ledger, chosen, averages
 
 
 def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> BacktestReport:
@@ -285,18 +283,15 @@ def run_backtest(series: MarketSeries, config: BacktestConfig | None = None) -> 
     store = ScoreStore(
         config.model_registry, config.alphas, range(config.first_forecast_day, series.n_days)
     )
-    ledger, chosen, averages, forecasts = _day_loop(series, config, config.model_registry, store)
+    ledger, chosen, averages = _day_loop(series, config, config.model_registry, store)
     return BacktestReport(
         config=config, n_days=series.n_days, ledger=ledger, store=store,
-        chosen=chosen, averages=averages, forecasts=forecasts,
+        chosen=chosen, averages=averages,
     )
 
 
 def run_single_model(
-    series: MarketSeries,
-    config: BacktestConfig | None = None,
-    model: str = "hs",
-    alpha: float = 0.8,
+    series: MarketSeries, config: BacktestConfig, model: str, alpha: float
 ) -> TradeLedger:
     """Trade every out-of-sample day with one fixed model (no selection);
     the ledger holds one strategy.  `model` may also be "benchmark": the
@@ -304,7 +299,7 @@ def run_single_model(
     scored, so point forecasts start at the first trading day for the
     benchmark, else at the first day of that day's calibration window.
     """
-    config = replace(config or BacktestConfig(), alphas=(alpha,))
+    config = replace(config, alphas=(alpha,))
     registry = () if model == "benchmark" else (model,)
     if registry:
         config = replace(config, model_registry=registry)
@@ -324,8 +319,6 @@ LEDGERS_FILE = "ledgers.csv"
 
 def write_report(report: BacktestReport, outdir) -> list:
     """Write the CSV bundle; returns the written file paths."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     paths = [os.path.join(outdir, name)
              for name in (PROFITS_FILE, SELECTION_FILE, METRICS_FILE, LEDGERS_FILE)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as _dt
 import hashlib
 import json
@@ -45,11 +46,6 @@ def _sha256(path) -> str:
 # Config file parsing (flat key = value lines, '#' comments)
 # ---------------------------------------------------------------------------
 
-_LIST_FIELDS = {"alphas", "model_registry", "pool_window_lengths"}
-_INT_FIELDS = {"point_window", "prob_window", "metric_window", "recalibrate_every"}
-_BOOL_FIELDS = {"keep_forecasts"}
-
-
 def read_config_file(path) -> dict:
     values = {}
     problems = []
@@ -72,34 +68,30 @@ def read_config_file(path) -> dict:
     return values
 
 
+def _parse_value(default, value: str):
+    """`value` as the type of a `BacktestConfig` default: a tuple as
+    comma-separated elements of its first element's type, None (the
+    bandwidth) as a float or "auto", anything else by its own type."""
+    if isinstance(default, tuple):
+        return tuple(_parse_value(default[0], part.strip())
+                     for part in value.split(",") if part.strip())
+    if default is None:
+        return None if value.lower() == "auto" else float(value)
+    return type(default)(value)
+
+
 def build_config(values: dict) -> BacktestConfig:
-    """Typed BacktestConfig from string key-values; reports all problems at once."""
+    """Typed BacktestConfig from string key-values, each key parsed by the
+    type of its field's default; reports all problems at once."""
     kwargs = {}
     problems = []
-    known = {f.name for f in BacktestConfig.__dataclass_fields__.values()}
+    defaults = {f.name: f.default for f in dataclasses.fields(BacktestConfig)}
     for key, value in values.items():
-        if key not in known:
+        if key not in defaults:
             problems.append(f"unknown config key {key!r}")
             continue
         try:
-            if key in _INT_FIELDS:
-                kwargs[key] = int(value)
-            elif key in _BOOL_FIELDS:
-                if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ValueError(f"not a boolean: {value!r}")
-                kwargs[key] = value.lower() in ("true", "1", "yes")
-            elif key == "bandwidth":
-                kwargs[key] = None if value.lower() in ("auto", "none", "") else float(value)
-            elif key in _LIST_FIELDS:
-                parts = [p.strip() for p in value.split(",") if p.strip()]
-                if key == "alphas":
-                    kwargs[key] = tuple(float(p) for p in parts)
-                elif key == "pool_window_lengths":
-                    kwargs[key] = tuple(int(p) for p in parts)
-                else:
-                    kwargs[key] = tuple(parts)
-            else:
-                kwargs[key] = value
+            kwargs[key] = _parse_value(defaults[key], value)
         except ValueError as exc:
             problems.append(f"config key {key!r}: {exc}")
     if problems:
@@ -154,8 +146,6 @@ def cmd_backtest(args) -> int:
     values = read_config_file(args.config) if args.config else {}
     config = build_config(values)
     series = _load_dataset(args.data)
-    config.validate(series.n_days)
-
     report = backtest_engine.run_backtest(series, config)
     # the point model's design tensor lives as long as the series; free it
     # before the writer allocates its blocks

@@ -28,11 +28,14 @@ METRICS = (
 )
 
 #: Even alpha grid keeping (1 +/- alpha)/2 on the 1% quantile grid.
-DEFAULT_ALPHAS = tuple(np.round(np.arange(50, 99, 2) / 100.0, 2))
+DEFAULT_ALPHAS = tuple(np.round(np.arange(50, 99, 2) / 100.0, 2).tolist())
 
 
 def alpha_quantiles(alpha: float) -> tuple[float, float]:
-    """The (lower, upper) PI quantiles (1-alpha)/2 and (1+alpha)/2, grid-checked."""
+    """The (lower, upper) PI quantiles (1-alpha)/2 and (1+alpha)/2, grid-checked;
+    alpha must lie in [0, 1)."""
+    if not 0.0 <= alpha < 1.0:  # also refuses nan
+        raise ValueError(f"alpha {alpha} outside [0, 1)")
     lo, up = (1.0 - alpha) / 2.0, (1.0 + alpha) / 2.0
     lo_r, up_r = round(lo, 2), round(up, 2)
     if abs(lo - lo_r) > 1e-9 or abs(up - up_r) > 1e-9:

@@ -185,15 +185,14 @@ def _fill_single_gaps(cells: np.ndarray) -> None:
     flat[missing] = 0.5 * (flat[missing - 1] + flat[missing + 1])
 
 
-def export_csv(series: MarketSeries, path, delimiter: str = ",", start_date=None) -> None:
+def export_csv(series: MarketSeries, path) -> None:
     """Write the dense series back to the normalized CSV layout.
 
-    The default start date is chosen so that its weekday matches
+    The start date is chosen so that its weekday matches
     series.start_weekday, making ingest(export(s)) an identity.
     """
-    if start_date is None:
-        # 2018-01-01 is a Monday
-        start_date = _dt.date(2018, 1, 1) + _dt.timedelta(days=series.start_weekday - 1)
+    # 2018-01-01 is a Monday
+    start_date = _dt.date(2018, 1, 1) + _dt.timedelta(days=series.start_weekday - 1)
     stamps = []
     for d in range(series.n_days):
         midnight = _dt.datetime.combine(start_date + _dt.timedelta(days=d), _dt.time())
@@ -202,15 +201,11 @@ def export_csv(series: MarketSeries, path, delimiter: str = ",", start_date=None
     _write_csv(
         path, ["timestamp", "price", "load_forecast"], series.prices.shape,
         [(np.arange(len(stamps)).reshape(-1, 24), stamps), series.prices, series.loads],
-        delimiter,
     )
 
 
 #: Rows formatted and written at a time, so that a writer's memory stays flat.
 _BLOCK_ROWS = 4096
-
-#: Every character of a float's repr or an int's str.
-_NUMBER_CHARS = "0123456789+-.aefin"
 
 
 class _Echo:
@@ -221,22 +216,22 @@ class _Echo:
         return text
 
 
-def _field_texts(values, delimiter: str) -> np.ndarray:
+def _field_texts(values) -> np.ndarray:
     """Each value as `csv.writer` writes one field of a row of several: its
-    str, quoted when it holds the delimiter, a quote or a line break."""
+    str, quoted when it holds a comma, a quote or a line break."""
     values = list(values)
     texts = np.empty(len(values), dtype=object)
     if all(type(v) is str for v in values):
         joined = "".join(values)
-        if not any(c in joined for c in (delimiter, '"', "\r", "\n")):
+        if not any(c in joined for c in (",", '"', "\r", "\n")):
             texts[:] = values
             return texts
-    line = csv.writer(_Echo(), delimiter=delimiter, lineterminator="").writerow
+    line = csv.writer(_Echo(), lineterminator="").writerow
     texts[:] = [line((v, ""))[:-1] for v in values]
     return texts
 
 
-def _number_texts(values: np.ndarray, delimiter: str) -> np.ndarray:
+def _number_texts(values: np.ndarray) -> np.ndarray:
     """The repr of each float and the str of each int (bools as 0 and 1),
     formatted once per distinct bit pattern, so -0.0, nan and inf keep
     their own text."""
@@ -249,8 +244,6 @@ def _number_texts(values: np.ndarray, delimiter: str) -> np.ndarray:
         texts = list(map(str, distinct.tolist()))
     else:
         raise TypeError(f"cannot write a column of dtype {values.dtype}")
-    if delimiter in _NUMBER_CHARS:
-        return _field_texts(texts, delimiter)[inverse]
     return np.array(texts, dtype=object)[inverse]
 
 
@@ -262,7 +255,7 @@ def _labels_along(labels, axis: int, ndim: int) -> tuple:
     return np.arange(len(labels)).reshape(shape), labels
 
 
-def _write_csv(path, header, shape, columns, delimiter: str = ",") -> None:
+def _write_csv(path, header, shape, columns) -> None:
     """Write the CSV file that `csv.writer` would, one column at a time.
 
     The rows run over the index grid `shape` in C order.  A column is either
@@ -278,21 +271,21 @@ def _write_csv(path, header, shape, columns, delimiter: str = ",") -> None:
     for column in columns:
         if isinstance(column, tuple):
             codes, labels = column
-            prepared.append((np.broadcast_to(codes, shape), _field_texts(labels, delimiter)))
+            prepared.append((np.broadcast_to(codes, shape), _field_texts(labels)))
         else:
             prepared.append((np.broadcast_to(column, shape), None))
     step = max(1, _BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, delimiter=delimiter).writerow(header)
+        csv.writer(fh).writerow(header)
         for lo in range(0, shape[0], step):
             block = []
             for values, texts in prepared:
                 values = values[lo : lo + step].reshape(-1)
                 block.append(
-                    (texts[values] if texts is not None else _number_texts(values, delimiter))
+                    (texts[values] if texts is not None else _number_texts(values))
                     .tolist()
                 )
-            fh.write("\r\n".join(map(delimiter.join, zip(*block))) + "\r\n")
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

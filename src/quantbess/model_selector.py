@@ -21,8 +21,6 @@ import numpy as np
 from .errors import InsufficientDataError
 from .eval_metrics import METRICS
 
-DEFAULT_METRIC_WINDOW = 30
-
 COVERAGE_MODES = ("target", "maximize")
 
 
@@ -30,7 +28,7 @@ def coverage_hours_target(alpha):
     return ((1.0 + alpha) / 2.0) ** 2
 
 
-def select_best(averages, metric: str, alpha, coverage_mode: str = "target"):
+def select_best(averages, metric: str, alpha, coverage_mode: str):
     """Index of the best model under the metric's ordering.
 
     `averages` holds rolling averages with the models, in registry order, on
@@ -86,7 +84,7 @@ class ScoreStore:
             raise ValueError(f"duplicate score for {model} on day {day}")
         slot[...] = block.T
 
-    def select(self, end_day: int, window: int = DEFAULT_METRIC_WINDOW, coverage_mode: str = "target"):
+    def select(self, end_day: int, window: int, coverage_mode: str):
         """Rolling means over the `window` days ending at `end_day` (inclusive)
         and the model each (metric, alpha) strategy picks from them.
 

@@ -227,10 +227,10 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
-def _design(pool, prices, qs, intercept, start=None):
+def _design(pool, prices, qs, start=None):
     """Checked inputs of a quantile regression: (X, prices, qs, start), X
-    holding the pool with an intercept column first when `intercept` is set
-    and start a copy of the given start, one row per quantile, or None."""
+    holding an intercept column and then the pool, and start a copy of the
+    given start, one row per quantile, or None."""
     pool = np.atleast_2d(np.asarray(pool, dtype=float))
     prices = np.asarray(prices, dtype=float)
     qs = np.asarray(qs, dtype=float)
@@ -242,7 +242,7 @@ def _design(pool, prices, qs, intercept, start=None):
         raise ValueError("prices length must match the pool history")
     if m < 10 * n:
         raise InsufficientDataError(f"{m} observations for {n} regressors; need >= {10 * n}")
-    X = _with_intercept(pool) if intercept else pool
+    X = _with_intercept(pool)
     if start is not None:
         start = np.array(start, dtype=float)
         if start.shape != (qs.size, X.shape[1]):
@@ -250,14 +250,14 @@ def _design(pool, prices, qs, intercept, start=None):
     return X, prices, qs, start
 
 
-def qra_fit(pool: np.ndarray, prices: np.ndarray, q: float, intercept: bool = True) -> np.ndarray:
+def qra_fit(pool: np.ndarray, prices: np.ndarray, q: float) -> np.ndarray:
     """Exact pinball-loss minimizer via the dual LP of quantile regression.
 
-    `pool` is (m, n_variants); the returned coefficient vector has the
-    intercept first when `intercept` is set.  Degenerate (e.g. duplicated)
-    columns are resolved by the solver's deterministic pivoting.
+    `pool` is (m, n_variants), (m, 0) for the intercept alone; the returned
+    coefficient vector has the intercept first.  Degenerate (e.g.
+    duplicated) columns are resolved by the solver's deterministic pivoting.
     """
-    X, prices, _, _ = _design(pool, prices, q, intercept)
+    X, prices, _, _ = _design(pool, prices, q)
     m, p = X.shape
     # Dual: max prices'a  s.t.  X'a = 0,  q-1 <= a <= q.
     # The equality multipliers recover the primal coefficients.
@@ -554,7 +554,6 @@ def qra_fit_grid(
     pool: np.ndarray,
     prices: np.ndarray,
     qs=QUANTILE_GRID,
-    intercept: bool = True,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
     """All per-quantile exact fits, batched; rows follow `qs`.
@@ -582,7 +581,7 @@ def qra_fit_grid(
     `_QRA_BLOCK_CELLS` // m quantiles at a time, so the memory peak does
     not grow with the number of quantiles.
     """
-    X, prices, qs, prelim = _design(pool, prices, qs, intercept, start)
+    X, prices, qs, prelim = _design(pool, prices, qs, start)
     if prelim is None:
         coarse = np.unique(np.r_[0 : qs.size : 5, qs.size - 1])
         coarse = coarse[np.argsort(qs[coarse])]
@@ -597,7 +596,7 @@ def qra_fit_grid(
         out[rest[certified]] = fits[certified]
         done[rest[certified]] = True
     for i in np.flatnonzero(~done):
-        out[i] = qra_fit(pool, prices, qs[i], intercept=intercept)
+        out[i] = qra_fit(pool, prices, qs[i])
     return out
 
 
@@ -753,7 +752,7 @@ def _sqra_polish(X, y, q, bandwidth, beta, gtol):
     return beta
 
 
-def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None, intercept=True):
+def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None):
     """All per-quantile smoothed fits, by one damped Newton solve batched
     over the quantile axis; rows follow `qs`.
 
@@ -771,7 +770,7 @@ def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None, interc
     """
     if not 0 < bandwidth < np.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    X, prices, qs, betas = _design(pool, prices, qs, intercept, starts)
+    X, prices, qs, betas = _design(pool, prices, qs, starts)
     m, p = X.shape
     if betas is None:
         betas = np.tile(np.linalg.lstsq(X, prices, rcond=None)[0], (qs.size, 1))
@@ -791,11 +790,11 @@ def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None, interc
     return betas
 
 
-def sqra_fit(pool, prices, q, bandwidth, start=None, intercept=True):
+def sqra_fit(pool, prices, q, bandwidth, start=None):
     """The smoothed fit of one quantile q: `sqra_fit_grid` on qs = [q], from
     `start` (a coefficient vector; least squares by default)."""
     starts = None if start is None else np.asarray(start, dtype=float)[None, :]
-    return sqra_fit_grid(pool, prices, bandwidth, qs=[q], starts=starts, intercept=intercept)[0]
+    return sqra_fit_grid(pool, prices, bandwidth, qs=[q], starts=starts)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from recorder import recorded_forecasts
 from quantbess.backtest_engine import BacktestConfig, run_backtest
 from quantbess.market_data import synth_generate
 
@@ -26,9 +25,17 @@ def small_config():
 
 
 @pytest.fixture(scope="session")
-def small_report(small_series, small_config):
-    """The small config's backtest, with its quantile matrices kept."""
-    return run_backtest(small_series, replace(small_config, keep_forecasts=True))
+def small_run(small_series, small_config):
+    """The small config's backtest and the quantile matrices it built, as
+    day -> {method: (24, 99)}."""
+    with recorded_forecasts() as forecasts:
+        report = run_backtest(small_series, small_config)
+    return report, forecasts
+
+
+@pytest.fixture(scope="session")
+def small_report(small_run):
+    return small_run[0]
 
 
 @pytest.fixture

@@ -263,13 +263,12 @@ def _fill_single_gaps(cells: np.ndarray) -> None:
     flat[missing] = 0.5 * (flat[missing - 1] + flat[missing + 1])
 
 
-def export_csv_by_rows(series: MarketSeries, path, delimiter: str = ",", start_date=None) -> None:
+def export_csv_by_rows(series: MarketSeries, path) -> None:
     """The dataset writer through `csv.writer`, one hour per row."""
-    if start_date is None:
-        # 2018-01-01 is a Monday
-        start_date = _dt.date(2018, 1, 1) + _dt.timedelta(days=series.start_weekday - 1)
+    # 2018-01-01 is a Monday
+    start_date = _dt.date(2018, 1, 1) + _dt.timedelta(days=series.start_weekday - 1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["timestamp", "price", "load_forecast"])
         for d in range(series.n_days):
             day = start_date + _dt.timedelta(days=d)

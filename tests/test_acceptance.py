@@ -14,6 +14,7 @@ import pytest
 from scipy.special import ndtri
 
 from oracles import jsu_sample, pinball_sum
+from recorder import recorded_forecasts
 from quantbess.backtest_engine import BacktestConfig, run_backtest, write_report
 from quantbess.bess_trading import (
     BUY_FACTOR,
@@ -327,7 +328,7 @@ class TestAcceptance:
 
         # no look-ahead: perturbing a trading day's price after the forecasts
         # are fixed must change settlement but not that day's forecasts.
-        config = BacktestConfig(keep_forecasts=True)
+        config = BacktestConfig()
         day = config.first_trading_day
         short = type(series)(
             prices=series.prices[: day + 2].copy(),
@@ -340,10 +341,12 @@ class TestAcceptance:
             prices=mutated_prices, loads=short.loads,
             start_weekday=short.start_weekday,
         )
-        r1 = run_backtest(short, config)
-        r2 = run_backtest(mutated, config)
+        with recorded_forecasts() as f1:
+            r1 = run_backtest(short, config)
+        with recorded_forecasts() as f2:
+            r2 = run_backtest(mutated, config)
         for tag in config.model_registry:
-            if not np.array_equal(r1.forecasts[day][tag], r2.forecasts[day][tag]):
+            if not np.array_equal(f1[day][tag], f2[day][tag]):
                 failures.append(f"forecast for {tag} changed with the mutated price")
         if r1.ledger.cash_flow[0].tolist() == r2.ledger.cash_flow[0].tolist():
             failures.append("settlement unchanged by the price mutation")

@@ -14,6 +14,7 @@ from oracles import (
     sp_pinball_sell,
     stack_ledgers,
 )
+from recorder import recorded_forecasts
 from quantbess.backtest_engine import (
     BacktestConfig,
     LEDGERS_FILE,
@@ -106,6 +107,18 @@ class TestConfig:
         config = replace(small_config, **change)
         assert config.problems(synth_generate(110, seed=0).n_days) == [problem]
 
+    @pytest.mark.parametrize("alphas, problem", [
+        ((-0.5,), "alpha -0.5 outside [0, 1)"),
+        ((0.8, float("inf")), "alpha inf outside [0, 1)"),
+        ((float("nan"),), "alpha nan outside [0, 1)"),
+        ((), "alphas must be non-empty"),
+    ])
+    def test_bad_alphas_reported(self, small_config, alphas, problem):
+        # all used to pass: -0.5 then traded with its bounds swapped, and inf
+        # and no alphas ended the run with a traceback
+        config = replace(small_config, alphas=alphas)
+        assert config.problems(90) == [problem]
+
     def test_as_dict_round_trip(self, small_config):
         values = small_config.as_dict()
         assert values["point_window"] == 56
@@ -175,7 +188,7 @@ class TestLedgerInPlace:
 
     @pytest.mark.parametrize("run", [
         lambda series, config: run_backtest(series, config).ledger,
-        lambda series, config: run_single_model(series, config, "benchmark"),
+        lambda series, config: run_single_model(series, config, "benchmark", 0.8),
     ], ids=["backtest", "benchmark"])
     def test_ledger_is_the_settled_days_stacked(self, small_series, small_config, monkeypatch, run):
         settled = []
@@ -287,17 +300,18 @@ def _full_schedule_single(series, config, model):
 class TestNoLookAhead:
     def test_price_mutation_leaves_forecasts_unchanged(self, small_config):
         base = synth_generate(80, seed=21)
-        config = replace(small_config, keep_forecasts=True)
-        day = config.first_trading_day
+        day = small_config.first_trading_day
         mutated_prices = base.prices.copy()
         mutated_prices[day] += 25.0
         mutated = type(base)(
             prices=mutated_prices, loads=base.loads, start_weekday=base.start_weekday
         )
-        r1 = run_backtest(base, config)
-        r2 = run_backtest(mutated, config)
-        for tag in config.model_registry:
-            assert np.array_equal(r1.forecasts[day][tag], r2.forecasts[day][tag])
+        with recorded_forecasts() as f1:
+            r1 = run_backtest(base, small_config)
+        with recorded_forecasts() as f2:
+            r2 = run_backtest(mutated, small_config)
+        for tag in small_config.model_registry:
+            assert np.array_equal(f1[day][tag], f2[day][tag])
         assert r1.ledger.day[0, 0] == day
         assert r1.ledger.cash_flow[0].tolist() != r2.ledger.cash_flow[0].tolist()
 
@@ -362,12 +376,14 @@ class TestReportBundle:
             selections = list(csv.DictReader(fh))
         return scores, selections
 
-    def test_metric_table_matches_oracles(self, bundle, small_report, small_series, small_config):
+    def test_metric_table_matches_oracles(self, bundle, small_run, small_series, small_config):
         scores, _ = bundle
+        small_report, forecasts = small_run
         days = range(small_config.first_forecast_day, small_report.n_days)
         assert len(scores) == len(days) * len(small_config.model_registry) * len(small_config.alphas)
+        assert sorted(forecasts) == list(days)
         for (day, model, alpha), row in scores.items():
-            qf = small_report.forecasts[day][model]
+            qf = forecasts[day][model]
             prices = small_series.prices[day]
             h1, h2 = choose_hours(qf[:, MEDIAN_INDEX])
             row1, row2 = qf[h1 - 1], qf[h2 - 1]

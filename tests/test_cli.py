@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -62,10 +63,23 @@ class TestConfigParsing:
 
     def test_all_problems_listed(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("point_window = soon\nunknown_key = 1\n")
+        path.write_text("point_window = soon\nunknown_key = 1\n"
+                        "alphas = 0.5, half\nbandwidth = wide\n")
         with pytest.raises(ConfigError) as err:
             build_config(read_config_file(path))
-        assert len(err.value.problems) == 2
+        assert len(err.value.problems) == 4
+
+    @pytest.mark.parametrize("field", dataclasses.fields(BacktestConfig),
+                             ids=lambda field: field.name)
+    def test_every_field_parses_its_default(self, field):
+        default = field.default
+        if isinstance(default, tuple):
+            text = ", ".join(map(str, default))
+        else:
+            text = "auto" if default is None else str(default)
+        value = getattr(build_config({field.name: text}), field.name)
+        # the repr also tells 30 from 30.0 and a float from a numpy float
+        assert repr(value) == repr(default)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "noequals.cfg"
@@ -318,6 +332,27 @@ class TestInputErrors:
         code = main(["ingest", str(dataset), str(tmp_path / "out.csv"), "--delimiter", ""])
         assert code == EXIT_USAGE
         assert "--delimiter" in _error_line(capsys)
+
+    @pytest.mark.parametrize("line, problem", [
+        ("alphas = -0.5", "alpha -0.5 outside [0, 1)"),
+        ("alphas = inf", "alpha inf outside [0, 1)"),
+        ("alphas =", "alphas must be non-empty"),
+    ])
+    def test_bad_alphas_exit_2(self, dataset, tmp_path, capsys, line, problem):
+        # -0.5 used to write a bundle, inf and an empty list to end in a traceback
+        cfg = tmp_path / "alphas.cfg"
+        cfg.write_text(SMALL_CONFIG + line + "\n")
+        code = main(["backtest", "--data", str(dataset), "--config", str(cfg),
+                     "--output", str(tmp_path / "report")])
+        assert code == EXIT_USAGE
+        assert problem in _error_line(capsys)
+        assert not (tmp_path / "report").exists()
+
+    def test_single_infinite_alpha_exit_2(self, dataset, config_file, capsys):
+        code = main(["single", "--data", str(dataset), "--config", str(config_file),
+                     "--model", "hs", "--alpha", "inf"])
+        assert code == EXIT_USAGE
+        assert "alpha inf outside [0, 1)" in _error_line(capsys)
 
     @pytest.mark.parametrize("name, edit", [
         ("profits_by_metric.csv", lambda text: text.replace("profit_per_mwh", "profit", 1)),

@@ -211,21 +211,18 @@ class TestWritersMatchOracles:
 
     def test_export_benchmark_ledger(self, small_series, small_config, tmp_path):
         # the price taker's unlimited orders carry inf and -inf limits
-        ledger = run_single_model(small_series, small_config, "benchmark")
+        ledger = run_single_model(small_series, small_config, "benchmark", 0.8)
         export_ledger(ledger, tmp_path / "new.csv", extra={"model": "benchmark"})
         export_ledger_by_rows(ledger, tmp_path / "old.csv", extra={"model": "benchmark"})
         _same_files([tmp_path / "new.csv"], [tmp_path / "old.csv"])
 
-    @pytest.mark.parametrize("delimiter", [",", ";", "\t", "e", "0", "-"])
-    @pytest.mark.parametrize("start_date", [None, datetime.date(1999, 12, 30),
-                                            datetime.datetime(2024, 2, 28, 17, 45)])
-    def test_export_csv(self, tmp_path, delimiter, start_date):
+    def test_export_csv(self, tmp_path):
         series = synth_generate(5, seed=4, regime="spiky")
         prices = series.prices.copy()
         prices[0, :3] = [-0.0, 0.0, 1e300]
         series = MarketSeries(prices=prices, loads=series.loads, start_weekday=6)
-        export_csv(series, tmp_path / "new.csv", delimiter, start_date)
-        export_csv_by_rows(series, tmp_path / "old.csv", delimiter, start_date)
+        export_csv(series, tmp_path / "new.csv")
+        export_csv_by_rows(series, tmp_path / "old.csv")
         _same_files([tmp_path / "new.csv"], [tmp_path / "old.csv"])
 
 

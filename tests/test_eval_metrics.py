@@ -144,6 +144,14 @@ class TestAlphaGrid:
         with pytest.raises(ValueError):
             alpha_quantiles(0.85)  # bounds 0.075/0.925 are off the 1% grid
 
+    @pytest.mark.parametrize("alpha", [-0.5, -0.02, 1.0, float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_out_of_range_rejected(self, alpha):
+        # -0.5 and -0.02 used to give a lower bound above the upper one, inf
+        # an OverflowError
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            alpha_quantiles(alpha)
+
 
 class TestPinballAll:
     def test_perfect_forecast(self, rng):

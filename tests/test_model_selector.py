@@ -3,12 +3,9 @@ import pytest
 
 from quantbess.errors import InsufficientDataError
 from quantbess.eval_metrics import METRICS
-from quantbess.model_selector import (
-    DEFAULT_METRIC_WINDOW,
-    ScoreStore,
-    coverage_hours_target,
-    select_best,
-)
+from quantbess.model_selector import ScoreStore, coverage_hours_target, select_best
+
+WINDOW = 30
 
 
 def _block(pinball=1.0, coverage=0.8, n_alphas=1):
@@ -26,8 +23,8 @@ def _series(values, start_day=0, n_days=None):
     return store
 
 
-def _average(store, end_day, window=DEFAULT_METRIC_WINDOW):
-    _, averages = store.select(end_day, window)
+def _average(store, end_day, window=WINDOW):
+    _, averages = store.select(end_day, window, "target")
     return averages[METRICS.index("pinball_all"), 0, 0]
 
 
@@ -66,48 +63,49 @@ class TestRollingAverage:
 
 class TestSelectBest:
     def test_pinball_argmin(self):
-        assert select_best([1.0, 0.5], "pinball_all", 0.8) == 1
+        assert select_best([1.0, 0.5], "pinball_all", 0.8, "target") == 1
 
     def test_coverage_all_closest_to_nominal(self):
-        assert select_best([0.95, 0.89], "coverage_all", 0.9) == 1
+        assert select_best([0.95, 0.89], "coverage_all", 0.9, "target") == 1
         # one row per alpha: each row ranks against its own nominal level
         averages = np.array([[0.95, 0.89], [0.95, 0.89]])
         alphas = np.array([[0.9], [0.96]])
-        assert select_best(averages, "coverage_all", alphas).tolist() == [1, 0]
+        assert select_best(averages, "coverage_all", alphas, "target").tolist() == [1, 0]
 
     def test_tie_breaks_by_registry_order(self):
-        assert select_best([1.0, 1.0], "pinball_buy", 0.8) == 0
-        assert select_best([2.0, 0.5, 0.5], "pinball_buy", 0.8) == 1
+        assert select_best([1.0, 1.0], "pinball_buy", 0.8, "target") == 0
+        assert select_best([2.0, 0.5, 0.5], "pinball_buy", 0.8, "target") == 1
 
     def test_coverage_hours_target(self):
         alpha = 0.8
         target = coverage_hours_target(alpha)
         assert target == pytest.approx(0.81)
         averages = [0.95, 0.80]
-        assert select_best(averages, "coverage_hours", alpha) == 1
-        assert select_best(averages, "coverage_hours", alpha, coverage_mode="maximize") == 0
+        assert select_best(averages, "coverage_hours", alpha, "target") == 1
+        assert select_best(averages, "coverage_hours", alpha, "maximize") == 0
 
     def test_constant_shift_invariance(self, rng):
         averages = rng.uniform(0, 5, 5)
         for metric in ("pinball_all", "pinball_sell"):
-            assert select_best(averages, metric, 0.8) == select_best(averages + 17.0, metric, 0.8)
+            shifted = select_best(averages + 17.0, metric, 0.8, "target")
+            assert select_best(averages, metric, 0.8, "target") == shifted
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            select_best([], "pinball_all", 0.8)
+            select_best([], "pinball_all", 0.8, "target")
         with pytest.raises(ValueError):
-            select_best([1.0], "sharpe", 0.8)
+            select_best([1.0], "sharpe", 0.8, "target")
         with pytest.raises(ValueError):
-            select_best([1.0], "coverage_hours", 0.8, coverage_mode="middle")
+            select_best([1.0], "coverage_hours", 0.8, "middle")
 
 
 class TestScoreStore:
     def test_round_trip_selection(self):
-        store = ScoreStore(["good", "bad"], [0.8], range(DEFAULT_METRIC_WINDOW))
-        for day in range(DEFAULT_METRIC_WINDOW):
+        store = ScoreStore(["good", "bad"], [0.8], range(WINDOW))
+        for day in range(WINDOW):
             store.add_scores(day, "good", _block(pinball=0.5))
             store.add_scores(day, "bad", _block(pinball=2.0))
-        chosen, averages = store.select(end_day=DEFAULT_METRIC_WINDOW - 1)
+        chosen, averages = store.select(WINDOW - 1, WINDOW, "target")
         assert chosen.shape == (len(METRICS), 1)
         assert averages.shape == (len(METRICS), 1, 2)
         i = METRICS.index("pinball_all")
@@ -131,7 +129,7 @@ class TestScoreStore:
             for day in range(5):
                 store.add_scores(day, "a", _block(pinball=1.0))
                 store.add_scores(day, "b", _block(pinball=1.0))
-            chosen, _ = store.select(4, window=5)
+            chosen, _ = store.select(4, 5, "target")
             chosen_models.append(registry[chosen[METRICS.index("pinball_all"), 0]])
         # exact tie: the registry order decides
         assert chosen_models == ["a", "b"]

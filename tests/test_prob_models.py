@@ -195,7 +195,7 @@ class TestQra:
 
     def test_median_constant_regressor(self):
         y = np.tile([1.0, 2.0, 9.0], 10)
-        beta = qra_fit(np.ones((30, 1)), y, q=0.5, intercept=False)
+        beta = qra_fit(np.empty((30, 0)), y, q=0.5)
         assert beta[0] == pytest.approx(2.0)
 
     def test_duplicated_columns_deterministic(self, rng):
@@ -294,10 +294,10 @@ class TestQraCertificate:
         """With m*q an integer every point between two order statistics is
         optimal; each vertex has its basis dual on a bound."""
         y = rng.normal(0, 1, 40)
-        ones = np.ones((40, 1))
+        ones, empty = np.ones((40, 1)), np.empty((40, 0))
         qs = np.array([0.25, 0.5, 0.75])
-        for q, beta in zip(qs, qra_fit_grid(ones, y, qs, intercept=False)):
-            expected = qra_fit(ones, y, q, intercept=False)
+        for q, beta in zip(qs, qra_fit_grid(empty, y, qs)):
+            expected = qra_fit(empty, y, q)
             assert np.array_equal(beta, expected)
             assert _refused(ones, y, q, expected)
 
@@ -305,10 +305,10 @@ class TestQraCertificate:
         """The median of 41 values is unique, but a tie puts a second row on it."""
         y = rng.normal(0, 1, 41)
         y[np.argsort(y)[21]] = np.sort(y)[20]
-        ones = np.ones((41, 1))
-        expected = qra_fit(ones, y, 0.5, intercept=False)
+        ones, empty = np.ones((41, 1)), np.empty((41, 0))
+        expected = qra_fit(empty, y, 0.5)
         assert expected[0] == np.sort(y)[20]
-        assert np.array_equal(qra_fit_grid(ones, y, [0.5], intercept=False)[0], expected)
+        assert np.array_equal(qra_fit_grid(empty, y, [0.5])[0], expected)
         assert _refused(ones, y, 0.5, expected)
 
 
@@ -401,11 +401,10 @@ class TestSqra:
 
     def test_symmetric_center(self, rng):
         y = np.concatenate([rng.normal(0, 1, 100), -rng.normal(0, 1, 100)]) + 5.0
-        pool = np.ones((200, 1))
-        beta = sqra_fit(pool, y, 0.5, bandwidth=0.5, intercept=False)
+        beta = sqra_fit(np.empty((200, 0)), y, 0.5, bandwidth=0.5)
         # brute-force scan of the smoothed objective over candidate constants
         grid = np.linspace(3.0, 7.0, 2001)
-        objs = [sqra_objective(np.array([c]), pool, y, 0.5, 0.5) for c in grid]
+        objs = [sqra_objective(np.array([c]), np.ones((200, 1)), y, 0.5, 0.5) for c in grid]
         assert beta[0] == pytest.approx(grid[int(np.argmin(objs))], abs=5e-3)
         assert beta[0] == pytest.approx(5.0, abs=0.2)
 
