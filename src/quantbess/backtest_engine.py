@@ -15,9 +15,11 @@ none: it forecasts from the first trading day, and an empty registry (the
 first day the first forecast day reads, and cover the whole pool only when a
 method outside `prob_models.OFFSET_METHODS` reads it.
 
-Forecasts for day d use only data through day d-1 plus day d's load forecast;
-scores for day d are added after day d has been traded, so selection never
-sees same-day information.
+Every forecast day d recalibrates each method on days d - prob_window ..
+d - 1, warm-started from the previous day's contexts (qra's betas, sqra's
+Newton start).  Forecasts for day d use only data through day d-1 plus day
+d's load forecast; scores for day d are added after day d has been traded,
+so selection never sees same-day information.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .bess_trading import TradeLedger
 from .errors import BacktestStageError, ConfigError, QuantbessError
 from .eval_metrics import DEFAULT_ALPHAS, METRICS
 from .market_data import MarketSeries, _labels_along, _write_csv
-from .model_selector import COVERAGE_MODES, ScoreStore
+from .model_selector import ScoreStore
 from .point_model import DEFAULT_POOL_WINDOWS, FEATURE_LAG
 from .prob_models import CalibrationInputs, ErrorSample, MEDIAN_INDEX, get_calibrator
 
@@ -47,10 +49,6 @@ class BacktestConfig:
     alphas: tuple = DEFAULT_ALPHAS
     model_registry: tuple = prob_models.METHODS
     pool_window_lengths: tuple = DEFAULT_POOL_WINDOWS
-    coverage_mode: str = "target"
-    forced_sell_mode: str = "before_h2"
-    recalibrate_every: int = 1
-    bandwidth: float | None = None
 
     @property
     def first_point_day(self) -> int:
@@ -106,14 +104,6 @@ class BacktestConfig:
                 eval_metrics.alpha_quantiles(alpha)
             except ValueError as exc:
                 out.append(str(exc))
-        if self.coverage_mode not in COVERAGE_MODES:
-            out.append(f"coverage_mode must be one of {COVERAGE_MODES}")
-        if self.forced_sell_mode not in bess_trading.FORCED_SELL_MODES:
-            out.append(f"forced_sell_mode must be one of {bess_trading.FORCED_SELL_MODES}")
-        if self.recalibrate_every < 1:
-            out.append("recalibrate_every must be >= 1")
-        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-            out.append("bandwidth must be positive and finite when given")
         if n_days is not None and not out and self.first_trading_day >= n_days:
             out.append(
                 f"dataset of {n_days} days too short: warm-up needs "
@@ -166,23 +156,16 @@ def _stage(day, stage, fn, *args, **kwargs):
         raise BacktestStageError(day, stage, exc) from exc
 
 
-def _calibration_day(config: BacktestConfig, d: int) -> int:
-    """The last day on the schedule that recalibrates every
-    `recalibrate_every` days from the first forecast day, up to day d."""
-    return d - (d - config.first_forecast_day) % config.recalibrate_every
-
-
 def _calibrate(series, config, registry, d, primary, pool, previous) -> dict:
     """Each method of `registry`, in order, calibrated for day d on the
-    window of its calibration day; `pool` is None when no method reads it."""
-    calib_day = _calibration_day(config, d)
-    window_days = range(calib_day - config.prob_window, calib_day)
+    `prob_window` days before it, from `previous`, the previous day's
+    contexts; `pool` is None when no method reads it."""
+    window_days = range(d - config.prob_window, d)
     contexts = {}
     inputs = CalibrationInputs(
         errors=ErrorSample(np.concatenate([series.prices[t] - primary[t] for t in window_days])),
         pool=None if pool is None else np.vstack([pool[t].T for t in window_days]),
-        prices=series.prices[window_days.start : calib_day].reshape(-1),
-        bandwidth=config.bandwidth,
+        prices=series.prices[window_days.start : d].reshape(-1),
         contexts=contexts,
         previous=previous,
     )
@@ -204,11 +187,11 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
     and dropped, so nothing per day outlives the day.
     """
     first = config.first_forecast_day if store is not None else config.first_trading_day
-    start = _calibration_day(config, first) - config.prob_window if registry else first
+    start = first - config.prob_window if registry else first
     reads_pool = not set(registry) <= set(prob_models.OFFSET_METHODS)
     solve = None if reads_pool else (config.point_window,)
     primary, pool = {}, ({} if reads_pool else None)
-    contexts, calibrated = {}, None
+    contexts = {}
     # with a store, strategies run metric-major, alpha-minor, as chosen.ravel() does
     alphas = tuple(config.alphas) * (len(METRICS) if store is not None else 1)
     model = np.zeros(len(alphas), dtype=int)
@@ -235,10 +218,7 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
             continue
 
         if registry:
-            calib_day = _calibration_day(config, d)
-            if calib_day != calibrated:
-                contexts = _calibrate(series, config, registry, d, primary, pool, contexts)
-                calibrated = calib_day
+            contexts = _calibrate(series, config, registry, d, primary, pool, contexts)
             matrices = [
                 _stage(d, f"forecast:{tag}", prob_models.quantile_matrix,
                        contexts[tag], primary[d], None if pool is None else pool[d])
@@ -254,13 +234,11 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
             else:
                 if store is not None:
                     chosen[row], averages[row] = _stage(
-                        d, "select", store.select, d - 1, config.metric_window, config.coverage_mode,
+                        d, "select", store.select, d - 1, config.metric_window
                     )
                     model = chosen[row].ravel()
-                orders = _stage(
-                    d, "orders", bess_trading.build_orders,
-                    matrices, hours, model, alphas, level, config.forced_sell_mode,
-                )
+                orders = _stage(d, "orders", bess_trading.build_orders,
+                                matrices, hours, model, alphas, level)
             settled = _stage(d, "settle", bess_trading.settle, orders, series.prices[d], level, d)
             for name in bess_trading.LEDGER_COLUMNS:
                 getattr(ledger, name)[row] = getattr(settled, name)[0]

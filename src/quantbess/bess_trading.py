@@ -5,7 +5,8 @@ Each trade moves one level: a buy purchases 1/0.9 MWh to charge one block, a
 sell discharges one block and delivers 0.9 MWh.  Daily orders: a limit bid at
 the lowest-median hour h1 priced at the upper PI bound, a limit offer at the
 highest-median hour h2 priced at the lower PI bound, plus a forced unlimited
-order when the day starts empty (buy) or full (sell).
+order when the day starts empty (a buy) or full (a sell), at the cheapest
+(buy) or dearest (sell) median hour before h2 other than h1.
 
 A day's K strategies are traded as columns.  `build_orders` (or
 `benchmark_orders`, K = 1) returns an `Orders` record of (K,) arrays and
@@ -29,8 +30,6 @@ from .prob_models import MEDIAN_INDEX
 
 SELL_FACTOR = 0.9
 BUY_FACTOR = 1.0 / 0.9
-
-FORCED_SELL_MODES = ("before_h2", "before_h1")
 
 
 @dataclass(frozen=True)
@@ -119,17 +118,17 @@ def choose_hours(median_forecast) -> tuple[int, int]:
     return h1, h2
 
 
-def _best_forced_hour(values, before_hour, exclude, maximize) -> int:
-    """Cheapest (or dearest) hour before `before_hour` outside `exclude`,
-    earliest on ties; 0 when there is none."""
-    candidates = [h for h in range(1, before_hour) if h not in exclude]
+def _best_forced_hour(values, h1, h2, maximize) -> int:
+    """Cheapest (or dearest) hour before h2 other than h1, earliest on ties;
+    0 when there is none."""
+    candidates = [h for h in range(1, h2) if h != h1]
     if not candidates:
         return 0
     key = (lambda h: (values[h - 1], -h)) if maximize else (lambda h: (-values[h - 1], -h))
     return max(candidates, key=key)
 
 
-def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) -> Orders:
+def build_orders(quantiles, hours, model, alphas, level) -> Orders:
     """Daily bid/offer from the PI bounds, plus forced orders at empty/full.
 
     `quantiles` and `hours` hold each model's (24, 99) quantile matrix and
@@ -137,8 +136,6 @@ def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) 
     strategy's model index, alpha and starting battery level.  The forced
     hours depend only on the model, so they are found once per model.
     """
-    if forced_sell_mode not in FORCED_SELL_MODES:
-        raise ValueError(f"forced_sell_mode must be one of {FORCED_SELL_MODES}")
     lo_i, up_i = _pi_columns(tuple(alphas))
     model = np.asarray(model, dtype=int)
     level = np.asarray(level, dtype=int)
@@ -146,10 +143,9 @@ def build_orders(quantiles, hours, model, alphas, level, forced_sell_mode: str) 
     forced_table = []
     for qf, (h1, h2) in zip(quantiles, hours):
         values = qf[:, MEDIAN_INDEX]
-        before = h2 if forced_sell_mode == "before_h2" else h1
         forced_table.append((
-            _best_forced_hour(values, h2, {h1}, maximize=False),
-            _best_forced_hour(values, before, {h1, h2}, maximize=True),
+            _best_forced_hour(values, h1, h2, maximize=False),
+            _best_forced_hour(values, h1, h2, maximize=True),
         ))
     h1, h2 = np.array(hours)[model].T
     forced_buy, forced_sell = np.array(forced_table)[model].T

@@ -22,7 +22,6 @@ from . import __version__, backtest_engine, bess_trading, market_data
 from .backtest_engine import BacktestConfig
 from .errors import ConfigError, QuantbessError
 
-REPORT_DIR_ENV = "QUANTBESS_REPORT_DIR"
 MANIFEST_FILE = "run_manifest.json"
 
 EXIT_OK = 0
@@ -47,13 +46,15 @@ def _sha256(path) -> str:
 # ---------------------------------------------------------------------------
 
 def read_config_file(path) -> dict:
-    values = {}
+    values, first_line = {}, {}
     problems = []
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 text") from None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,6 +63,11 @@ def read_config_file(path) -> dict:
             problems.append(f"line {line_no}: expected key = value")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            problems.append(f"line {line_no}: key {key!r} given more than once "
+                            f"(first on line {first_line[key]})")
+            continue
+        first_line[key] = line_no
         values[key] = value
     if problems:
         raise ConfigError(problems)
@@ -70,13 +76,11 @@ def read_config_file(path) -> dict:
 
 def _parse_value(default, value: str):
     """`value` as the type of a `BacktestConfig` default: a tuple as
-    comma-separated elements of its first element's type, None (the
-    bandwidth) as a float or "auto", anything else by its own type."""
+    comma-separated elements of its first element's type, anything else by
+    its own type."""
     if isinstance(default, tuple):
         return tuple(_parse_value(default[0], part.strip())
                      for part in value.split(",") if part.strip())
-    if default is None:
-        return None if value.lower() == "auto" else float(value)
     return type(default)(value)
 
 
@@ -131,14 +135,11 @@ def cmd_ingest(args) -> int:
 
 
 def _load_dataset(path, **options) -> market_data.MarketSeries:
-    """`market_data.ingest_csv(path, **options)`; a missing file is a usage error."""
-    if not os.path.exists(path):
-        raise UsageError(f"dataset not found: {path}")
+    """`market_data.ingest_csv(path, **options)`; a missing file, or a
+    directory, is a usage error."""
+    if not os.path.isfile(path):
+        raise UsageError(f"dataset file not found: {path}")
     return market_data.ingest_csv(path, **options)
-
-
-def _resolve_outdir(args) -> str:
-    return os.environ.get(REPORT_DIR_ENV) or args.output
 
 
 def cmd_backtest(args) -> int:
@@ -146,11 +147,13 @@ def cmd_backtest(args) -> int:
     values = read_config_file(args.config) if args.config else {}
     config = build_config(values)
     series = _load_dataset(args.data)
+    outdir = args.output
+    # an unusable report directory fails here, not after the backtest
+    os.makedirs(outdir, exist_ok=True)
     report = backtest_engine.run_backtest(series, config)
     # the point model's design tensor lives as long as the series; free it
     # before the writer allocates its blocks
     del series
-    outdir = _resolve_outdir(args)
     paths = backtest_engine.write_report(report, outdir)
 
     manifest = {
@@ -266,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="run the full rolling backtest")
     p.add_argument("--data", required=True, help="normalized dataset CSV")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--output", default="report",
-                   help=f"report directory (overridden by ${REPORT_DIR_ENV})")
+    p.add_argument("--output", default="report", help="report directory")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("single", help="trade one fixed model (or 'benchmark')")
@@ -293,6 +295,9 @@ def main(argv=None) -> int:
     except (UsageError, QuantbessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, (UsageError, ConfigError)) else EXIT_RUNTIME
+    except OSError as exc:  # a path the command cannot read or write
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

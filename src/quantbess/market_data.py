@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapError, InsufficientDataError, ParseError
+from .errors import DataError, GapError, InsufficientDataError, ParseError
 
 DEFAULT_SCHEMA = {
     "timestamp": "timestamp",
@@ -80,26 +80,29 @@ def ingest_csv(path, schema=None, delimiter: str = ",", min_days: int = 0) -> Ma
     """
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     stamps, prices, loads, bad_row = [], [], [], None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(1, "empty file")
-        columns = []
-        for key in ("timestamp", "price", "load"):
-            if schema[key] not in header:
-                raise ParseError(1, f"missing column {schema[key]!r}")
-            # a repeated column name means its last column
-            columns.append(len(header) - 1 - header[::-1].index(schema[key]))
-        ti, pi, li = columns
-        for row in filter(None, reader):  # blank lines are skipped
-            try:
-                stamps.append(_dt.datetime.fromisoformat(row[ti].strip()))
-                prices.append(float(row[pi]))
-                loads.append(float(row[li]))
-            except (ValueError, IndexError):
-                bad_row = row
-                break
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(1, "empty file")
+            columns = []
+            for key in ("timestamp", "price", "load"):
+                if schema[key] not in header:
+                    raise ParseError(1, f"missing column {schema[key]!r}")
+                # a repeated column name means its last column
+                columns.append(len(header) - 1 - header[::-1].index(schema[key]))
+            ti, pi, li = columns
+            for row in filter(None, reader):  # blank lines are skipped
+                try:
+                    stamps.append(_dt.datetime.fromisoformat(row[ti].strip()))
+                    prices.append(float(row[pi]))
+                    loads.append(float(row[li]))
+                except (ValueError, IndexError):
+                    bad_row = row
+                    break
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     n_rows = len(loads)  # the rows parsed in full, all before bad_row
     prices, loads = np.array(prices[:n_rows]), np.array(loads)
     bad = np.flatnonzero(~(np.isfinite(prices) & np.isfinite(loads)) | (loads < 0))

@@ -3,8 +3,7 @@
 Pinball metrics rank by lowest average.  Coverage metrics rank by proximity
 to a nominal target: alpha for coverage_all, ((1+alpha)/2)^2 for
 coverage_hours (joint probability of the two trading-quantile conditions
-under independence).  A "maximize" mode for coverage_hours is available as
-well.  Ties break by registry order.
+under independence).  Ties break by registry order.
 
 The score history is one float cube indexed [metric, alpha, model, day] over
 the forecast days, with NaN for a model-day not yet scored.  The day axis is
@@ -21,14 +20,12 @@ import numpy as np
 from .errors import InsufficientDataError
 from .eval_metrics import METRICS
 
-COVERAGE_MODES = ("target", "maximize")
-
 
 def coverage_hours_target(alpha):
     return ((1.0 + alpha) / 2.0) ** 2
 
 
-def select_best(averages, metric: str, alpha, coverage_mode: str):
+def select_best(averages, metric: str, alpha):
     """Index of the best model under the metric's ordering.
 
     `averages` holds rolling averages with the models, in registry order, on
@@ -37,8 +34,6 @@ def select_best(averages, metric: str, alpha, coverage_mode: str):
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if coverage_mode not in COVERAGE_MODES:
-        raise ValueError(f"unknown coverage mode {coverage_mode!r}")
     averages = np.asarray(averages, dtype=float)
     if averages.ndim == 0 or averages.shape[-1] == 0:
         raise ValueError("empty score table")
@@ -46,10 +41,8 @@ def select_best(averages, metric: str, alpha, coverage_mode: str):
         key = averages
     elif metric == "coverage_all":
         key = np.abs(averages - alpha)
-    elif coverage_mode == "target":
+    else:
         key = np.abs(averages - coverage_hours_target(alpha))
-    else:  # maximize coverage_hours
-        key = -averages
     return np.argmin(key, axis=-1)
 
 
@@ -84,7 +77,7 @@ class ScoreStore:
             raise ValueError(f"duplicate score for {model} on day {day}")
         slot[...] = block.T
 
-    def select(self, end_day: int, window: int, coverage_mode: str):
+    def select(self, end_day: int, window: int):
         """Rolling means over the `window` days ending at `end_day` (inclusive)
         and the model each (metric, alpha) strategy picks from them.
 
@@ -108,7 +101,7 @@ class ScoreStore:
             )
         averages = scores.mean(axis=-1)
         chosen = np.stack([
-            select_best(averages[i], metric, self._alpha_col, coverage_mode)
+            select_best(averages[i], metric, self._alpha_col)
             for i, metric in enumerate(METRICS)
         ])
         return chosen, averages

@@ -20,7 +20,9 @@ Five methods are provided:
   unique optimum, computed from its sorted basis rows, so it does not
   depend on the start or the solve path.
 * ``sqra`` -- the same regression with the check function smoothed by a
-  Gaussian kernel of bandwidth H (conquer's loss: He, Pan, Tan & Zhou 2021).
+  Gaussian kernel of bandwidth H (conquer's loss: He, Pan, Tan & Zhou 2021);
+  a calibration takes H by the rule of thumb (``default_bandwidth``) from
+  the window's residuals about the pool mean.
   ``sqra_fit_grid`` solves all 99 quantiles by damped Newton batched over
   the quantile axis, warm-started from the previous calibration's sqra (or
   today's qra), and ends each quantile with one free Newton step, so the
@@ -809,7 +811,6 @@ class CalibrationInputs:
     pool: np.ndarray | None = None          # (m, n_variants) history; None when
                                             # every method is in OFFSET_METHODS
     prices: np.ndarray | None = None        # (m,) realized prices
-    bandwidth: float | None = None
     contexts: dict = field(default_factory=dict)  # tags calibrated earlier today
     # tag -> context of the previous calibration, a warm start for the same
     # method on the shifted window (qra starts its band LPs from its betas,
@@ -849,9 +850,7 @@ def _calibrate_qra(inputs: CalibrationInputs) -> MethodContext:
 
 def _calibrate_sqra(inputs: CalibrationInputs) -> MethodContext:
     start = inputs.previous.get("sqra") or inputs.contexts.get("qra")
-    bandwidth = inputs.bandwidth
-    if bandwidth is None:
-        bandwidth = default_bandwidth(inputs.prices - inputs.pool.mean(axis=1))
+    bandwidth = default_bandwidth(inputs.prices - inputs.pool.mean(axis=1))
     betas = sqra_fit_grid(inputs.pool, inputs.prices, bandwidth,
                           starts=None if start is None else start.betas)
     return MethodContext("sqra", betas=betas, bandwidth=bandwidth)

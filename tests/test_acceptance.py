@@ -18,7 +18,6 @@ from recorder import recorded_forecasts
 from quantbess.backtest_engine import BacktestConfig, run_backtest, write_report
 from quantbess.bess_trading import (
     BUY_FACTOR,
-    FORCED_SELL_MODES,
     SELL_FACTOR,
     Orders,
     build_orders,
@@ -253,8 +252,7 @@ class TestAcceptance:
             hours = choose_hours(curve)
             width[[hours[0] - 1, hours[1] - 1]] = rng.uniform(1, 30, 2)
             qf = curve[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 99)
-            orders = build_orders([qf], [hours], [0], [alpha], level,
-                                  FORCED_SELL_MODES[day % 2])
+            orders = build_orders([qf], [hours], [0], [alpha], level)
             ledger = settle(orders, rng.normal(50, 25, 24), level, day)
             if not np.isin(ledger.end_level, (0, 1, 2)).all():
                 failures.append((day, ledger.end_level.tolist()))

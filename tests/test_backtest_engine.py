@@ -72,13 +72,13 @@ class TestConfig:
 
     def test_all_problems_reported_at_once(self):
         config = BacktestConfig(
+            prob_window=1,
             metric_window=0,
             model_registry=("hs", "nope"),
             alphas=(0.8, 0.85),
-            coverage_mode="sometimes",
         )
         problems = config.problems()
-        assert len(problems) >= 4
+        assert len(problems) == 4
         with pytest.raises(ConfigError):
             config.validate()
 
@@ -95,16 +95,15 @@ class TestConfig:
         config = replace(small_config, pool_window_lengths=windows)
         assert config.problems(synth_generate(110, seed=0).n_days) == [problem]
 
-    @pytest.mark.parametrize("change, problem", [
-        ({"model_registry": ("hs", "cp", "hs")}, "model tag(s) ['hs'] given more than once"),
-        ({"bandwidth": float("nan")}, "bandwidth must be positive and finite when given"),
-        ({"bandwidth": float("inf")}, "bandwidth must be positive and finite when given"),
-        ({"bandwidth": 0.0}, "bandwidth must be positive and finite when given"),
+    @pytest.mark.parametrize("registry, problem", [
+        (("hs", "cp", "hs"), "model tag(s) ['hs'] given more than once"),
+        (("hs", "nope"), "unknown model tag 'nope'"),
+        ((), "model_registry must be non-empty"),
     ])
-    def test_bad_registry_or_bandwidth_reported(self, small_config, change, problem):
-        # the first three used to pass; a repeated tag then aborted the run
-        # at its first forecast day with a duplicate score
-        config = replace(small_config, **change)
+    def test_bad_registry_reported(self, small_config, registry, problem):
+        # a repeated tag used to pass and abort the run at its first
+        # forecast day with a duplicate score
+        config = replace(small_config, model_registry=registry)
         assert config.problems(synth_generate(110, seed=0).n_days) == [problem]
 
     @pytest.mark.parametrize("alphas, problem", [
@@ -226,15 +225,9 @@ class TestLedgerInPlace:
 class TestRunSingleModel:
     # run_single_model calibrates qra cold on its first day, where
     # run_backtest starts it from the previous calibration's betas.
-    @pytest.mark.parametrize("recalibrate_every", [1, 4])
     @pytest.mark.parametrize("model", ["cp", "qra"])
-    def test_equivalence_with_single_model_registry(
-        self, small_series, small_config, model, recalibrate_every
-    ):
-        config = replace(
-            small_config, model_registry=(model,), alphas=(0.8,),
-            recalibrate_every=recalibrate_every,
-        )
+    def test_equivalence_with_single_model_registry(self, small_series, small_config, model):
+        config = replace(small_config, model_registry=(model,), alphas=(0.8,))
         full = run_backtest(small_series, config)
         single = run_single_model(small_series, config, model, 0.8)
         assert full.strategies == [(metric, 0.8) for metric in METRICS]
@@ -244,13 +237,9 @@ class TestRunSingleModel:
                     getattr(single, name)[:, 0].tolist()
                 ), name
 
-    @pytest.mark.parametrize("model, recalibrate_every", [
-        ("benchmark", 1), ("hs", 1), ("hs", 4),
-    ])
-    def test_matches_full_schedule(self, small_series, small_config, model, recalibrate_every):
-        # Day 77 is off the 4-day schedule from day 71: it is calibrated on
-        # day 75's window, which starts at day 67.
-        config = replace(small_config, alphas=(0.8,), recalibrate_every=recalibrate_every)
+    @pytest.mark.parametrize("model", ["benchmark", "hs"])
+    def test_matches_full_schedule(self, small_series, small_config, model):
+        config = replace(small_config, alphas=(0.8,))
         want = _full_schedule_single(small_series, config, model)
         got = run_single_model(small_series, config, model, 0.8)
         for name in LEDGER_COLUMNS:
@@ -268,9 +257,10 @@ class TestRunSingleModel:
 
 def _full_schedule_single(series, config, model):
     """run_single_model's reference: the whole pool on every day from the
-    first point day, calibrations on the schedule from the first forecast day."""
+    first point day, each trading day calibrated on the `prob_window` days
+    before it."""
     primary, pool = {}, {}
-    level, days, calibrated = np.ones(1, dtype=int), [], None
+    level, days = np.ones(1, dtype=int), []
     for d in range(config.first_point_day, series.n_days):
         forecasts, _ = forecast_pool(series, d, config.pool_window_lengths)
         primary[d], pool[d] = forecasts.variant(config.point_window), forecasts.values
@@ -279,19 +269,16 @@ def _full_schedule_single(series, config, model):
         if model == "benchmark":
             orders = benchmark_orders(primary[d])
         else:
-            calib_day = d - (d - config.first_forecast_day) % config.recalibrate_every
-            if calib_day != calibrated:
-                window_days = range(calib_day - config.prob_window, calib_day)
-                ctx = get_calibrator(model)(CalibrationInputs(
-                    errors=ErrorSample(np.concatenate(
-                        [series.prices[t] - primary[t] for t in window_days])),
-                    pool=np.vstack([pool[t].T for t in window_days]),
-                    prices=series.prices[window_days.start:calib_day].reshape(-1),
-                ))
-                calibrated = calib_day
+            window_days = range(d - config.prob_window, d)
+            ctx = get_calibrator(model)(CalibrationInputs(
+                errors=ErrorSample(np.concatenate(
+                    [series.prices[t] - primary[t] for t in window_days])),
+                pool=np.vstack([pool[t].T for t in window_days]),
+                prices=series.prices[window_days.start:d].reshape(-1),
+            ))
             qf = quantile_matrix(ctx, primary[d], pool[d])
             orders = build_orders([qf], [choose_hours(qf[:, MEDIAN_INDEX])], [0],
-                                  config.alphas, level, config.forced_sell_mode)
+                                  config.alphas, level)
         days.append(settle(orders, series.prices[d], level, d))
         level = days[-1].end_level[0]
     return stack_ledgers(days)
@@ -412,7 +399,6 @@ class TestReportBundle:
     def test_chosen_models_follow_rule(self, bundle, small_config):
         _, selections = bundle
         models = small_config.model_registry
-        assert small_config.coverage_mode == "target"
         for row in selections:
             metric, alpha = row["metric"], float(row["alpha"])
             averages = [float(row[f"avg_{m}"]) for m in models]

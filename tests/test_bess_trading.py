@@ -11,7 +11,6 @@ from quantbess.backtest_engine import BacktestConfig, BacktestReport
 from oracles import stack_ledgers
 from quantbess.bess_trading import (
     BUY_FACTOR,
-    FORCED_SELL_MODES,
     LEDGER_COLUMNS,
     LEDGER_DTYPES,
     SELL_FACTOR,
@@ -43,10 +42,10 @@ def _median_curve(h1=4, h2=19):
     return values
 
 
-def _build(qf, level, alpha=0.8, mode="before_h2"):
+def _build(qf, level, alpha=0.8):
     """One strategy's orders from one model's quantile matrix."""
     hours = choose_hours(qf[:, MEDIAN_INDEX])
-    return build_orders([qf], [hours], [0], [alpha], [level], mode)
+    return build_orders([qf], [hours], [0], [alpha], [level])
 
 
 def _orders(bid_price, offer_price, forced_buy_hour=0, forced_sell_hour=0):
@@ -78,7 +77,7 @@ def _oracle_forced_hour(values, before_hour, exclude, maximize):
     return best
 
 
-def _oracle_orders(qf, h1, h2, alpha, level, mode):
+def _oracle_orders(qf, h1, h2, alpha, level):
     values = qf[:, MEDIAN_INDEX]
     lo, up = alpha_quantiles(alpha)
     orders = dict(
@@ -90,8 +89,7 @@ def _oracle_orders(qf, h1, h2, alpha, level, mode):
         orders["forced_buy_hour"] = _oracle_forced_hour(values, h2, {h1}, maximize=False)
         orders["offer_withdrawn"] = orders["forced_buy_hour"] == 0
     elif level == 2:
-        before = h2 if mode == "before_h2" else h1
-        orders["forced_sell_hour"] = _oracle_forced_hour(values, before, {h1, h2}, maximize=True)
+        orders["forced_sell_hour"] = _oracle_forced_hour(values, h2, {h1, h2}, maximize=True)
         orders["bid_withdrawn"] = orders["forced_sell_hour"] == 0
     return orders
 
@@ -183,16 +181,12 @@ class TestBuildOrders:
         assert _one(orders.bid_price) == qf[3, quantile_index(0.9)]
         assert _one(orders.offer_price) == qf[18, quantile_index(0.1)]
 
-    def test_full_battery_forced_sell_modes(self):
-        qf = _matrix(_median_curve(5, 20))
-        loose = _one(_build(qf, 2, mode="before_h2").forced_sell_hour)
-        strict = _one(_build(qf, 2, mode="before_h1").forced_sell_hour)
-        assert 0 < loose < 20
-        assert 0 < strict < 5
-
-    def test_unknown_forced_sell_mode(self):
-        with pytest.raises(ValueError, match="forced_sell_mode"):
-            _build(_matrix(_median_curve()), 2, mode="after_h2")
+    def test_full_battery_forced_sell_before_h2(self):
+        orders = _build(_matrix(_median_curve(5, 20)), 2)
+        forced_sell = _one(orders.forced_sell_hour)
+        assert 0 < forced_sell < 20
+        assert forced_sell != 5
+        assert not _one(orders.bid_withdrawn)
 
     def test_degenerate_empty_day_withdraws_offer(self):
         # h2 = 1: no hour precedes it, so the forced buy cannot be placed and
@@ -212,10 +206,10 @@ class TestBuildOrders:
         matrices = [_matrix(c) for c in curves]
         hours = [choose_hours(c) for c in curves]
         model, alphas, level = [0, 1, 0, 1], [0.5, 0.5, 0.98, 0.98], [0, 0, 0, 1]
-        orders = build_orders(matrices, hours, model, alphas, level, "before_h2")
+        orders = build_orders(matrices, hours, model, alphas, level)
         for k in range(4):
             h1, h2 = hours[model[k]]
-            expect = _oracle_orders(matrices[model[k]], h1, h2, alphas[k], level[k], "before_h2")
+            expect = _oracle_orders(matrices[model[k]], h1, h2, alphas[k], level[k])
             assert _columns(orders, k) == expect
 
 
@@ -279,10 +273,10 @@ class TestSettle:
             levels = rng.integers(0, 3, 8)
             qf = _matrix(rng.normal(50, 10, 24))
             hours = choose_hours(qf[:, MEDIAN_INDEX])
-            orders = build_orders([qf], [hours], np.zeros(8, int), (0.8,) * 8, levels, "before_h2")
+            orders = build_orders([qf], [hours], np.zeros(8, int), (0.8,) * 8, levels)
             day = settle(orders, prices, levels)
             for k, level in enumerate(levels.tolist()):
-                o = _oracle_orders(qf, *hours, 0.8, level, "before_h2")
+                o = _oracle_orders(qf, *hours, 0.8, level)
                 assert _columns(orders, k) == o
                 expect = _oracle_settle(o, prices, level)
                 assert {name: _one(getattr(day, name)[0, k]) for name in expect} == expect
@@ -317,20 +311,19 @@ class TestArrayStepProperty:
         widths=st.lists(st.floats(0.0, 30.0), min_size=3, max_size=3),
         picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(DEFAULT_ALPHAS) - 1),
                                  st.integers(0, 2)), min_size=1, max_size=12),
-        mode=st.sampled_from(FORCED_SELL_MODES),
         prices=st.lists(st.floats(-200.0, 400.0), min_size=24, max_size=24),
     )
-    def test_orders_and_settlement_match_reference(self, curves, widths, picks, mode, prices):
+    def test_orders_and_settlement_match_reference(self, curves, widths, picks, prices):
         matrices = [_matrix(_shape(*c), w) for c, w in zip(curves, widths)]
         hours = [choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]
         model = [m % len(matrices) for m, _, _ in picks]
         alphas = [DEFAULT_ALPHAS[a] for _, a, _ in picks]
         levels = [level for _, _, level in picks]
         prices = np.array(prices)
-        orders = build_orders(matrices, hours, model, alphas, levels, mode)
+        orders = build_orders(matrices, hours, model, alphas, levels)
         day = settle(orders, prices, levels, day=5)
         for k, (m, alpha, level) in enumerate(zip(model, alphas, levels)):
-            o = _oracle_orders(matrices[m], *hours[m], alpha, level, mode)
+            o = _oracle_orders(matrices[m], *hours[m], alpha, level)
             assert _columns(orders, k) == o
             expect = _oracle_settle(o, prices, level)
             assert {name: _one(getattr(day, name)[0, k]) for name in expect} == expect
@@ -492,8 +485,7 @@ class TestBatteryFuzz:
         for day in range(2000):
             curve = rng.normal(50, 10, 24)
             qf = _matrix(curve, rng.uniform(1, 30, 24))
-            orders = build_orders([qf], [choose_hours(curve)], [0, 0, 0], alphas, level,
-                                  FORCED_SELL_MODES[day % 2])
+            orders = build_orders([qf], [choose_hours(curve)], [0, 0, 0], alphas, level)
             ledger = settle(orders, rng.normal(50, 25, 24), level, day=day)
             assert np.isin(ledger.end_level, (0, 1, 2)).all()
             level = ledger.end_level[0]

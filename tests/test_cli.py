@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import pathlib
+import re
 import shutil
 
 import pytest
@@ -9,13 +11,21 @@ from quantbess.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     MANIFEST_FILE,
-    REPORT_DIR_ENV,
     build_config,
     main,
     read_config_file,
 )
+from quantbess import backtest_engine
 from quantbess.backtest_engine import BacktestConfig
 from quantbess.errors import ConfigError
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# settings fixed to the one value every run used, which their keys held;
+# the keys are refused
+REMOVED_SETTINGS = {"coverage_mode": "target", "forced_sell_mode": "before_h2",
+                    "recalibrate_every": "1", "bandwidth": "auto"}
+# a line saved in a Windows code page: 0x80, the euro sign, is not UTF-8
+NOT_UTF8 = "# prices in \u20ac/MWh\n".encode("cp1252")
 
 SMALL_CONFIG = """\
 # fast experiment for CLI tests
@@ -64,7 +74,7 @@ class TestConfigParsing:
     def test_all_problems_listed(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("point_window = soon\nunknown_key = 1\n"
-                        "alphas = 0.5, half\nbandwidth = wide\n")
+                        "alphas = 0.5, half\nmetric_window = often\n")
         with pytest.raises(ConfigError) as err:
             build_config(read_config_file(path))
         assert len(err.value.problems) == 4
@@ -73,10 +83,7 @@ class TestConfigParsing:
                              ids=lambda field: field.name)
     def test_every_field_parses_its_default(self, field):
         default = field.default
-        if isinstance(default, tuple):
-            text = ", ".join(map(str, default))
-        else:
-            text = "auto" if default is None else str(default)
+        text = ", ".join(map(str, default)) if isinstance(default, tuple) else str(default)
         value = getattr(build_config({field.name: text}), field.name)
         # the repr also tells 30 from 30.0 and a float from a numpy float
         assert repr(value) == repr(default)
@@ -87,10 +94,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             read_config_file(path)
 
-    def test_bandwidth_auto(self):
-        config = build_config({"bandwidth": "auto"})
-        assert config.bandwidth is None
-        assert build_config({"bandwidth": "2.5"}).bandwidth == 2.5
+    def test_readme_config_section_names_every_field(self):
+        """The README's config section documents each `BacktestConfig` field
+        and none of the removed settings."""
+        text = README.read_text(encoding="utf-8")
+        section = re.search(r"^### Config file\n(.*?)^##", text, re.M | re.S)
+        assert section, "README has no '### Config file' section"
+        names = set(re.findall(r"`(\w+)`", section.group(1)))
+        assert {f.name for f in dataclasses.fields(BacktestConfig)} <= names
+        assert not any(key in section.group(1) for key in REMOVED_SETTINGS)
 
 
 class TestSynthAndIngest:
@@ -159,19 +171,14 @@ class TestBacktest:
         assert code == EXIT_USAGE
         assert "pool window(s) [20]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, problem", [
-        ("model_registry = hs, hs", "model tag(s) ['hs'] given more than once"),
-        ("bandwidth = nan", "bandwidth must be positive and finite when given"),
-        ("bandwidth = inf", "bandwidth must be positive and finite when given"),
-    ])
-    def test_bad_registry_or_bandwidth_exit_2(self, dataset, tmp_path, capsys, line, problem):
+    def test_repeated_model_tag_exit_2(self, dataset, tmp_path, capsys):
         # a repeated tag used to abort at the first forecast day with a traceback
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(SMALL_CONFIG + line + "\n")
+        cfg.write_text(SMALL_CONFIG.replace("= hs, cp", "= hs, hs"))
         code = main(["backtest", "--data", str(dataset), "--config", str(cfg),
                      "--output", str(tmp_path / "report")])
         assert code == EXIT_USAGE
-        assert problem in capsys.readouterr().err
+        assert "model tag(s) ['hs'] given more than once" in capsys.readouterr().err
 
     def test_seed_is_not_a_setting(self, dataset, config_file, tmp_path, capsys):
         cfg = tmp_path / "seeded.cfg"
@@ -182,16 +189,6 @@ class TestBacktest:
         with pytest.raises(SystemExit) as exc:
             main(["backtest", "--data", str(dataset), "--seed", "3"])
         assert exc.value.code == EXIT_USAGE
-
-    def test_env_var_overrides_output(self, dataset, config_file, tmp_path, monkeypatch):
-        outdir = tmp_path / "via_env"
-        monkeypatch.setenv(REPORT_DIR_ENV, str(outdir))
-        code = main([
-            "backtest", "--data", str(dataset), "--config", str(config_file),
-            "--output", str(tmp_path / "ignored"),
-        ])
-        assert code == EXIT_OK
-        assert (outdir / MANIFEST_FILE).exists()
 
 
 class TestSingle:
@@ -341,7 +338,7 @@ class TestInputErrors:
     def test_bad_alphas_exit_2(self, dataset, tmp_path, capsys, line, problem):
         # -0.5 used to write a bundle, inf and an empty list to end in a traceback
         cfg = tmp_path / "alphas.cfg"
-        cfg.write_text(SMALL_CONFIG + line + "\n")
+        cfg.write_text(SMALL_CONFIG.replace("alphas = 0.5, 0.8", line))
         code = main(["backtest", "--data", str(dataset), "--config", str(cfg),
                      "--output", str(tmp_path / "report")])
         assert code == EXIT_USAGE
@@ -368,3 +365,64 @@ class TestInputErrors:
         path.write_text(edit(path.read_text()))
         assert main(["report", str(bundle)]) == EXIT_RUNTIME
         assert str(path) in _error_line(capsys)
+
+    @pytest.mark.parametrize("key, value", REMOVED_SETTINGS.items())
+    def test_removed_setting_exit_2(self, dataset, tmp_path, capsys, key, value):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+        code = main(["backtest", "--data", str(dataset), "--config", str(cfg),
+                     "--output", str(tmp_path / "report")])
+        assert code == EXIT_USAGE
+        assert _error_line(capsys) == f"error: unknown config key {key!r}"
+
+    def test_config_key_given_twice_exit_2(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(SMALL_CONFIG + "metric_window = 7\nno equals\n")
+        code = main(["backtest", "--data", str(dataset), "--config", str(cfg),
+                     "--output", str(tmp_path / "report")])
+        assert code == EXIT_USAGE
+        assert _error_line(capsys) == (
+            "error: line 8: key 'metric_window' given more than once (first on line 4); "
+            "line 9: expected key = value"
+        )
+        assert not (tmp_path / "report").exists()
+
+    def test_report_path_is_a_file_fails_before_the_run(
+        self, dataset, config_file, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "report.csv"
+        out.write_text("")
+        monkeypatch.setattr(backtest_engine, "run_backtest",
+                            lambda *args: pytest.fail("the backtest ran"))
+        code = main(["backtest", "--data", str(dataset), "--config", str(config_file),
+                     "--output", str(out)])
+        assert code == EXIT_RUNTIME
+        assert str(out) in _error_line(capsys)
+
+    def test_ledger_into_missing_directory_exit_1(self, dataset, config_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "ledger.csv"
+        code = main(["single", "--data", str(dataset), "--config", str(config_file),
+                     "--model", "benchmark", "--output", str(out)])
+        assert code == EXIT_RUNTIME
+        assert str(out) in _error_line(capsys)
+
+    def test_synth_into_missing_directory_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "data.csv"
+        assert main(["synth", str(out), "--days", "2"]) == EXIT_RUNTIME
+        assert str(out) in _error_line(capsys)
+
+    def test_dataset_directory_exit_2(self, tmp_path, capsys):
+        assert main(["backtest", "--data", str(tmp_path)]) == EXIT_USAGE
+        assert str(tmp_path) in _error_line(capsys)
+
+    def test_config_not_utf8_exit_2(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cp1252.cfg"
+        cfg.write_bytes(NOT_UTF8 + SMALL_CONFIG.encode())
+        assert main(["backtest", "--data", str(dataset), "--config", str(cfg)]) == EXIT_USAGE
+        assert f"cannot read config file {cfg}: not UTF-8 text" in _error_line(capsys)
+
+    def test_dataset_not_utf8_exit_1(self, dataset, tmp_path, capsys):
+        data = tmp_path / "cp1252.csv"
+        data.write_bytes(NOT_UTF8 + dataset.read_bytes())
+        assert main(["backtest", "--data", str(data)]) == EXIT_RUNTIME
+        assert _error_line(capsys) == f"error: {data}: not UTF-8 text"
