@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as _dt
+import errno
 import hashlib
 import json
 import math
@@ -147,8 +148,10 @@ def cmd_backtest(args) -> int:
     values = read_config_file(args.config) if args.config else {}
     config = build_config(values)
     series = _load_dataset(args.data)
+    # a dataset too short for the config, or an unusable report directory,
+    # fails here, before the backtest and without leaving an empty directory
+    config.validate(series.n_days)
     outdir = args.output
-    # an unusable report directory fails here, not after the backtest
     os.makedirs(outdir, exist_ok=True)
     report = backtest_engine.run_backtest(series, config)
     # the point model's design tensor lives as long as the series; free it
@@ -178,6 +181,9 @@ def cmd_single(args) -> int:
     values = read_config_file(args.config) if args.config else {}
     config = build_config(values)
     series = _load_dataset(args.data)
+    # a ledger into a missing directory fails here, not after the run
+    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
     ledger = backtest_engine.run_single_model(series, config, args.model, args.alpha)
     if args.output:
         bess_trading.export_ledger(

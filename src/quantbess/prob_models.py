@@ -6,7 +6,10 @@ Five methods are provided:
   point forecast.
 * ``cp``   -- symmetric intervals from quantiles of absolute errors.
 * ``jsu``  -- Johnson SU distribution fitted to the errors by maximum
-  likelihood; its quantiles are added to the point forecast.
+  likelihood; its quantiles are added to the point forecast.  For a given
+  location and scale the two shapes have a closed-form optimum in their box,
+  so ``jsu_fit`` runs a damped Newton on the profile likelihood in (xi, log
+  lambda) alone.
 * ``qra``  -- quantile regression on a pool of point forecasts, solved exactly
   as a linear program per quantile.  ``qra_fit_grid`` fits all 99 at once in
   four steps (Portnoy & Koenker 1997): preliminary betas (the previous
@@ -33,14 +36,17 @@ Five methods are provided:
 Empirical quantiles use linear interpolation of order statistics (numpy's
 default, the "type 7" rule).  Quantile crossing is resolved by sorting the 99
 values.
+
+The methods need only numpy and ``scipy.special``.  ``scipy.optimize`` and
+``scipy.sparse`` (about 22 MB of memory) are imported by the two rare
+fallbacks alone, qra's HiGHS simplex ``qra_fit`` and sqra's L-BFGS-B finish
+``_sqra_polish``, on their first call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
-from scipy.optimize import linprog
 from scipy.special import ndtr, ndtri
 
 from .errors import FitError, InsufficientDataError, QuantbessError, SolverError
@@ -151,19 +157,157 @@ def jsu_neg_loglik(theta: np.ndarray, x: np.ndarray):
     return nll, grad
 
 
-# Box for the optimizer in (gamma, log delta, xi, log lambda).  The gamma and
-# delta caps pin down the flat ridges where JSU degenerates into a (shifted)
+def _jsu_hessian(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Hessian of `jsu_neg_loglik` in (gamma, log delta, xi, log lambda).
+
+    With f(z) = log(1 + z^2) / 2 + t^2 / 2 per observation, t = gamma +
+    delta asinh(z), z = (x - xi) / lambda: f' = z / s^2 + t delta / s and
+    f'' = (1 - z^2) / s^4 + delta^2 / s^2 - t delta z / s^3, s = sqrt(1 + z^2).
+    """
+    gamma, log_delta, xi, log_lam = theta
+    delta, lam = np.exp(log_delta), np.exp(log_lam)
+    z = (x - xi) / lam
+    s_sq = 1.0 + z * z
+    s = np.sqrt(s_sq)
+    w = np.arcsinh(z)
+    t = gamma + delta * w
+    a = z / s_sq + t * delta / s                                            # f'
+    b = (1.0 - z * z) / (s_sq * s_sq) + (delta * delta - t * delta * z / s) / s_sq  # f''
+    u = (delta * w + t) / s
+    h = np.empty((4, 4))
+    h[0] = [x.size, delta * np.sum(w), -delta * np.sum(1.0 / s) / lam, -delta * np.sum(z / s)]
+    h[1, 1:] = [delta * np.sum(w * (delta * w + t)), -delta * np.sum(u) / lam,
+                -delta * np.sum(z * u)]
+    h[2, 2:] = [np.sum(b) / (lam * lam), (np.sum(a) + np.sum(b * z)) / lam]
+    h[3, 3] = np.sum((b * z + a) * z)
+    return np.triu(h) + np.triu(h, 1).T
+
+
+# Box for the fit in (gamma, log delta, xi, log lambda).  The gamma and delta
+# caps pin down the flat ridges where JSU degenerates into a (shifted)
 # normal: for light- or thin-tailed samples the unconstrained MLE runs off to
 # infinity while the density barely changes, so a boundary fit is the
 # legitimate answer there.
 _JSU_BOUNDS = ((-20.0, 20.0), (-4.0, 3.0), (None, None), (-20.0, 20.0))
 
+#: The profile Newton stops at a projected gradient norm of this times
+#: max(1, |nll|); a fit that only meets 1e-6 when its line search stalls is
+#: still accepted, and one that does not raises FitError.
+_JSU_GTOL = 1e-10
+
+#: Newton iterations of one `_jsu_newton` call.
+_JSU_MAX_ITER = 100
+
+
+def _projected_gradient_norm(grad, theta) -> float:
+    """Norm of the gradient with the components that push against an active
+    bound of `_JSU_BOUNDS` zeroed."""
+    pgrad = np.array(grad, dtype=float)
+    for i, (lo, hi) in enumerate(_JSU_BOUNDS):
+        if lo is not None and theta[i] <= lo + 1e-12 and pgrad[i] > 0:
+            pgrad[i] = 0.0
+        if hi is not None and theta[i] >= hi - 1e-12 and pgrad[i] < 0:
+            pgrad[i] = 0.0
+    return float(np.linalg.norm(pgrad))
+
+
+def _jsu_shapes(w: np.ndarray) -> tuple:
+    """(gamma, log delta) in their box minimizing the negative log-likelihood
+    for fixed (xi, lambda), w = asinh((x - xi) / lambda).
+
+    That objective, -m log delta + sum((gamma + delta w)^2) / 2, is convex in
+    (gamma, delta), and its free minimizer is delta = 1 / sd(w), gamma =
+    -delta mean(w).  Outside the box the minimizer lies on an edge: the best
+    of the minimizers along the four edges, each in closed form.
+    """
+    (g_lo, g_hi), (ld_lo, ld_hi) = _JSU_BOUNDS[:2]
+    m, mean = w.size, np.mean(w)
+    log_delta = -np.log(np.std(w))
+    gamma = -np.exp(log_delta) * mean
+    if g_lo <= gamma <= g_hi and ld_lo <= log_delta <= ld_hi:
+        return gamma, log_delta
+    s1, s2 = m * mean, np.dot(w, w)
+    candidates = [(np.clip(-np.exp(ld) * mean, g_lo, g_hi), ld) for ld in (ld_lo, ld_hi)]
+    for g in (g_lo, g_hi):
+        # the positive root of s2 delta^2 + g s1 delta - m = 0, without cancellation
+        b = g * s1
+        root = np.sqrt(b * b + 4.0 * s2 * m)
+        delta = (root - b) / (2.0 * s2) if b <= 0 else 2.0 * m / (b + root)
+        candidates.append((g, np.clip(np.log(delta), ld_lo, ld_hi)))
+
+    def objective(c):
+        g, d = c[0], np.exp(c[1])
+        return -m * c[1] + 0.5 * (m * g * g + 2.0 * g * d * s1 + d * d * s2)
+
+    return min(candidates, key=objective)
+
+
+def _jsu_profile(x: np.ndarray, xi: float, log_lam: float):
+    """(theta, nll, gradient) at (xi, log lambda) with the shapes profiled out."""
+    gamma, log_delta = _jsu_shapes(np.arcsinh((x - xi) / np.exp(log_lam)))
+    theta = np.array([gamma, log_delta, xi, log_lam])
+    nll, grad = jsu_neg_loglik(theta, x)
+    return theta, nll, grad
+
+
+def _jsu_newton(x: np.ndarray, xi: float, log_lam: float):
+    """Damped Newton on the profile likelihood in (xi, log lambda).
+
+    The shapes are profiled out exactly (`_jsu_shapes`), so the gradient of
+    the profile is the likelihood's gradient in (xi, log lambda), and its
+    Hessian is the Schur complement of the 4x4 Hessian over the shapes
+    inside their box.  A log lambda on its bound with the gradient pushing
+    out stays there.  Eigenvalues of the Hessian in (xi / lambda, log lambda)
+    are taken in absolute value (a descent direction where the profile is not
+    convex).  A step passes Armijo's test or, where the predicted decrease is
+    below the rounding of the nll, shrinks the projected gradient.  Stops at
+    `_JSU_GTOL`, on a stalled line search or after `_JSU_MAX_ITER`
+    iterations; returns (theta, nll, projected gradient norm) of the last
+    iterate.
+    """
+    lo, hi = _JSU_BOUNDS[3]
+    theta, nll, grad = _jsu_profile(x, xi, log_lam)
+    pg = _projected_gradient_norm(grad, theta)
+    for _ in range(_JSU_MAX_ITER):
+        if pg <= _JSU_GTOL * max(1.0, abs(nll)):
+            break
+        h = _jsu_hessian(theta, x)
+        free = [i for i in (0, 1) if _JSU_BOUNDS[i][0] < theta[i] < _JSU_BOUNDS[i][1]]
+        hp = h[2:, 2:]
+        if free:
+            hp = hp - h[2:, free] @ np.linalg.solve(h[np.ix_(free, free)], h[free, 2:])
+        pinned = (theta[3] <= lo and grad[3] > 0) or (theta[3] >= hi and grad[3] < 0)
+        outer = [0] if pinned else [0, 1]
+        # in (xi / lambda, log lambda), where both are of the sample's scale
+        scale = np.array([np.exp(theta[3]), 1.0])[outer]
+        vals, vecs = np.linalg.eigh(hp[np.ix_(outer, outer)] * np.outer(scale, scale))
+        vals = np.maximum(np.abs(vals), 1e-12 * np.abs(vals).max())
+        step = np.zeros(2)
+        step[outer] = -scale * (vecs @ ((vecs.T @ (scale * grad[2:][outer])) / vals))
+        slope = float(grad[2:] @ step)
+        rounding = -slope < 1e-13 * abs(nll)
+        t = 1.0
+        while t > 1e-12:
+            trial = _jsu_profile(x, theta[2] + t * step[0], np.clip(theta[3] + t * step[1], lo, hi))
+            pg_new = _projected_gradient_norm(trial[2], trial[0])
+            if trial[1] <= nll + 1e-4 * t * slope or (rounding and pg_new < pg):
+                break
+            t *= 0.5
+        else:
+            break  # the line search stalled
+        (theta, nll, grad), pg = trial, pg_new
+    return theta, nll, pg
+
 
 def jsu_fit(errors: ErrorSample) -> JsuParams:
-    """Maximum-likelihood Johnson SU fit, quasi-Newton from a quantile start.
+    """Maximum-likelihood Johnson SU fit by Newton on the profile likelihood.
 
-    Converged when the projected gradient norm falls below 1e-6 relative to
-    the attained negative log-likelihood.
+    The shapes (gamma, delta) have a closed-form box-constrained optimum for
+    each location and scale, so `_jsu_newton` runs on (xi, log lambda)
+    alone, first from a quantile start and then, if that fails, from the
+    moments.  A fit is accepted when its projected gradient norm is at most
+    1e-6 relative to the attained negative log-likelihood; it usually ends
+    far below, at `_JSU_GTOL`.
     """
     x = errors.residuals
     if np.std(x) == 0.0:
@@ -172,47 +316,19 @@ def jsu_fit(errors: ErrorSample) -> JsuParams:
     lam0 = (q75 - q25) / (2.0 * np.sinh(ndtri(0.75)))
     if lam0 <= 0:
         lam0 = float(np.std(x))
-    starts = [
-        np.array([0.0, 0.0, q50, np.log(lam0)]),
-        np.array([0.0, np.log(2.0), float(np.mean(x)), np.log(np.std(x))]),
-    ]
     best = None
-    for theta0 in starts:
-        res = optimize.minimize(
-            jsu_neg_loglik, theta0, args=(x,), jac=True, method="L-BFGS-B",
-            bounds=_JSU_BOUNDS,
-            options={"maxiter": 2000, "maxfun": 100000, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        for _ in range(3):  # restarts help L-BFGS-B escape ftol stalls
-            nll, grad = jsu_neg_loglik(res.x, x)
-            pgrad = _project_gradient(grad, res.x, _JSU_BOUNDS)
-            if np.linalg.norm(pgrad) <= 1e-6 * max(1.0, abs(nll)):
-                gamma, log_delta, xi, log_lam = res.x
-                return JsuParams(gamma, float(np.exp(log_delta)), xi, float(np.exp(log_lam)))
-            res = optimize.minimize(
-                jsu_neg_loglik, res.x, args=(x,), jac=True, method="L-BFGS-B",
-                bounds=_JSU_BOUNDS,
-                options={"maxiter": 2000, "maxfun": 100000, "ftol": 1e-18, "gtol": 1e-14},
-            )
-        if best is None or res.fun < best.fun:
-            best = res
-    nll, grad = jsu_neg_loglik(best.x, x)
+    for xi0, lam in ((q50, lam0), (float(np.mean(x)), float(np.std(x)))):
+        theta, nll, pg = _jsu_newton(x, xi0, np.log(lam))
+        if pg <= 1e-6 * max(1.0, abs(nll)):
+            gamma, log_delta, xi, log_lam = theta
+            return JsuParams(gamma, float(np.exp(log_delta)), xi, float(np.exp(log_lam)))
+        if best is None or nll < best[1]:
+            best = theta, nll, pg
+    theta, nll, pg = best
     raise FitError(
-        "JSU fit did not converge: "
-        f"gradient norm {np.linalg.norm(grad):.3e} at nll {nll:.6g} "
-        f"(theta={best.x})"
+        f"JSU fit did not converge: projected gradient norm {pg:.3e} at nll {nll:.6g} "
+        f"(theta={theta})"
     )
-
-
-def _project_gradient(grad, theta, bounds):
-    """Zero gradient components that push against an active box bound."""
-    pgrad = np.array(grad, dtype=float)
-    for i, (lo, hi) in enumerate(bounds):
-        if lo is not None and theta[i] <= lo + 1e-12 and pgrad[i] > 0:
-            pgrad[i] = 0.0
-        if hi is not None and theta[i] >= hi - 1e-12 and pgrad[i] < 0:
-            pgrad[i] = 0.0
-    return pgrad
 
 
 def jsu_quantile(params: JsuParams, q):
@@ -259,6 +375,9 @@ def qra_fit(pool: np.ndarray, prices: np.ndarray, q: float) -> np.ndarray:
     coefficient vector has the intercept first.  Degenerate (e.g.
     duplicated) columns are resolved by the solver's deterministic pivoting.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     X, prices, _, _ = _design(pool, prices, q)
     m, p = X.shape
     # Dual: max prices'a  s.t.  X'a = 0,  q-1 <= a <= q.
@@ -731,6 +850,8 @@ def _sqra_polish(X, y, q, bandwidth, beta, gtol):
     """L-BFGS-B finish of one quantile that Newton left unfinished.  Its
     point is kept if no worse; the gradient's infinity norm must then meet
     gtol or 1e-6 * m * max(1, mean|X|), else SolverError."""
+    from scipy import optimize
+
     m = X.shape[0]
     f = sqra_objective(beta, X, y, q, bandwidth)
     res = optimize.minimize(

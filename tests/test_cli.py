@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +192,32 @@ class TestBacktest:
         with pytest.raises(SystemExit) as exc:
             main(["backtest", "--data", str(dataset), "--seed", "3"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_five_method_run_loads_no_scipy_solver(self, dataset, tmp_path):
+        # scipy.optimize and scipy.sparse are imported only by the rare
+        # fallbacks: qra's HiGHS simplex and sqra's L-BFGS-B finish
+        cfg = tmp_path / "five.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("= hs, cp", "= hs, cp, jsu, qra, sqra"))
+        argv = ["backtest", "--data", str(dataset), "--config", str(cfg),
+                "--output", str(tmp_path / "report")]
+        script = (
+            "import json, sys\n"
+            "from quantbess import cli\n"
+            "def loaded():\n"
+            "    names = ('scipy.optimize', 'scipy.sparse', 'scipy.special')\n"
+            "    return [name in sys.modules for name in names]\n"
+            "on_import = loaded()\n"
+            f"code = cli.main({argv!r})\n"
+            "print(json.dumps([on_import, code, loaded()]))\n"
+        )
+        src = str(pathlib.Path(backtest_engine.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        on_import, code, after_run = json.loads(done.stdout.splitlines()[-1])
+        assert code == EXIT_OK
+        assert on_import == after_run == [False, False, True]
 
 
 class TestSingle:
@@ -399,12 +428,23 @@ class TestInputErrors:
         assert code == EXIT_RUNTIME
         assert str(out) in _error_line(capsys)
 
-    def test_ledger_into_missing_directory_exit_1(self, dataset, config_file, tmp_path, capsys):
+    def test_ledger_into_missing_directory_exit_1(
+        self, dataset, config_file, tmp_path, capsys, monkeypatch
+    ):
         out = tmp_path / "missing" / "ledger.csv"
+        monkeypatch.setattr(backtest_engine, "run_single_model",
+                            lambda *args: pytest.fail("the run ran"))
         code = main(["single", "--data", str(dataset), "--config", str(config_file),
                      "--model", "benchmark", "--output", str(out)])
         assert code == EXIT_RUNTIME
-        assert str(out) in _error_line(capsys)
+        assert _error_line(capsys) == f"error: [Errno 2] No such file or directory: '{out}'"
+
+    def test_dataset_too_short_leaves_no_report_directory(self, dataset, tmp_path, capsys):
+        # the default windows need more than the 90 days of `dataset`
+        out = tmp_path / "report"
+        assert main(["backtest", "--data", str(dataset), "--output", str(out)]) == EXIT_USAGE
+        assert "too short" in _error_line(capsys)
+        assert not out.exists()
 
     def test_synth_into_missing_directory_exit_1(self, tmp_path, capsys):
         out = tmp_path / "missing" / "data.csv"

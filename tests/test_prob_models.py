@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtri
 
-from oracles import jsu_sample, pinball_sum, sqra_newton
+from oracles import (
+    JSU_BOUNDS,
+    jsu_fit_lbfgsb,
+    jsu_nll,
+    jsu_projected_gradient,
+    jsu_sample,
+    pinball_sum,
+    sqra_newton,
+)
 from quantbess import prob_models
 from quantbess.backtest_engine import BacktestConfig, run_backtest
 from quantbess.errors import FitError, InsufficientDataError, QuantbessError, SolverError
@@ -164,6 +172,19 @@ class TestJohnsonSu:
                 fd[i] = (jsu_neg_loglik(up, x)[0] - jsu_neg_loglik(dn, x)[0]) / (2 * eps)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-4)
 
+    def test_hessian_matches_finite_differences(self, rng):
+        x = rng.standard_t(5, 400) * 2.0 + 1.0
+        for _ in range(5):
+            theta = rng.uniform([-1, -0.5, -2, -0.5], [1, 0.5, 2, 0.5])
+            fd = np.empty((4, 4))
+            eps = 1e-6
+            for i in range(4):
+                up, dn = theta.copy(), theta.copy()
+                up[i] += eps
+                dn[i] -= eps
+                fd[i] = (jsu_neg_loglik(up, x)[1] - jsu_neg_loglik(dn, x)[1]) / (2 * eps)
+            assert np.allclose(prob_models._jsu_hessian(theta, x), fd, rtol=1e-5, atol=1e-4)
+
     def test_parameter_recovery(self):
         true = JsuParams(0.0, 1.5, 0.0, 2.0)
         draws = jsu_sample(true.gamma, true.delta, true.xi, true.lam, 50_000,
@@ -183,6 +204,47 @@ class TestJohnsonSu:
         fitted = jsu_fit(ErrorSample(draws))
         qs = np.arange(5, 96) / 100.0
         assert np.allclose(jsu_quantile(fitted, qs), ndtri(qs), atol=0.05)
+        # the normal limit lies at delta -> infinity, so the fit ends on the cap
+        assert fitted.delta == np.exp(JSU_BOUNDS[1][1])
+        _assert_at_least_as_good_as_lbfgsb(fitted, draws)
+
+    def test_small_config_samples_match_lbfgsb(self, day97_samples):
+        corners = 0
+        for x in day97_samples:
+            fitted = jsu_fit(ErrorSample(x))
+            corners += fitted.delta == np.exp(JSU_BOUNDS[1][1]) or abs(fitted.gamma) == 20.0
+            _assert_at_least_as_good_as_lbfgsb(fitted, x)
+        assert corners > len(day97_samples) / 2
+
+    def test_day97_run_completes(self, day97_samples, small_config):
+        # L-BFGS-B's jsu fit once raised FitError on day 97 of this run
+        assert len(day97_samples) == 110 - small_config.first_forecast_day
+
+
+@pytest.fixture(scope="module")
+def day97_samples(small_config):
+    """The residual sample of each jsu fit of the five-method small-config
+    backtest on synth_generate(110, seed=0), once the backtest has run."""
+    samples, fit = [], prob_models.jsu_fit
+
+    def keeping_sample(errors):
+        samples.append(errors.residuals)
+        return fit(errors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prob_models, "jsu_fit", keeping_sample)
+        run_backtest(synth_generate(110, seed=0), small_config)
+    return samples
+
+
+def _assert_at_least_as_good_as_lbfgsb(fitted, x):
+    """The fit's nll is no higher than the L-BFGS-B reference's, to
+    rounding, and its projected gradient is at most 1e-9 relative."""
+    theta = np.array([fitted.gamma, np.log(fitted.delta), fitted.xi, np.log(fitted.lam)])
+    nll = jsu_nll(theta, x)[0]
+    reference = jsu_nll(jsu_fit_lbfgsb(x), x)[0]
+    assert nll <= reference + 1e-12 * abs(reference)
+    assert jsu_projected_gradient(theta, x) <= 1e-9 * max(1.0, abs(nll))
 
 
 class TestQra:
