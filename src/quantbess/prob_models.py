@@ -37,17 +37,19 @@ Empirical quantiles use linear interpolation of order statistics (numpy's
 default, the "type 7" rule).  Quantile crossing is resolved by sorting the 99
 values.
 
-The methods need only numpy and ``scipy.special``.  ``scipy.optimize`` and
-``scipy.sparse`` (about 22 MB of memory) are imported by the two rare
-fallbacks alone, qra's HiGHS simplex ``qra_fit`` and sqra's L-BFGS-B finish
-``_sqra_polish``, on their first call.
+The methods need only numpy and the standard library: sqra's normal CDF is
+a numpy port of Cephes' ``ndtr`` (``_ndtr``), and jsu's normal quantiles come
+from ``statistics.NormalDist``.  scipy (``scipy.optimize`` and
+``scipy.sparse``) is imported by the two rare fallbacks alone, qra's HiGHS
+simplex ``qra_fit`` and sqra's L-BFGS-B finish ``_sqra_polish``, on their
+first call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import FitError, InsufficientDataError, QuantbessError, SolverError
 
@@ -67,9 +69,106 @@ OFFSET_METHODS = ("hs", "cp", "jsu")
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+_STD_NORMAL = NormalDist()
+
 
 def _phi(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
+
+
+def _ndtri(q):
+    """The standard normal quantile of each q in (0, 1), elementwise, by the
+    standard library's NormalDist (Wichura's AS241)."""
+    q = np.asarray(q, dtype=float)
+    return np.reshape([_STD_NORMAL.inv_cdf(v) for v in q.flat], q.shape)
+
+
+# Cephes' ndtr.c (S. L. Moshier): with x = a / sqrt(2), Phi(a) = (1 + erf(x))
+# / 2 for |x| < 1, erf(x) = x T(x^2) / U(x^2), and Phi(a) = erfc(|x|) / 2
+# below 0 or 1 - erfc(|x|) / 2 above for |x| >= 1, erfc(x) = exp(-x^2) P(x) /
+# Q(x).  Highest power first; U and Q have a leading 1, left out as in p1evl.
+# T and P are stored halved: scaling by 1/2 is exact, so the halves come out
+# with Cephes' rounding.  For sqrt(1/2) <= |x| < 1 Cephes takes 1 - erf(|x|)
+# first; there 1 - erf(|x|) is exact (Sterbenz), so the rule for |x| < 1
+# rounds the same.
+_ERF_T_HALF = tuple(0.5 * c for c in (
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4))
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P_HALF = tuple(0.5 * c for c in (
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2))
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_SQRT1_2 = float(np.sqrt(0.5))
+
+#: Elements per chunk of `_ndtr` and of `_sqra_pass`'s rows; each chunk's
+#: temporaries stay in the core's cache.
+_CHUNK = 1 << 14
+
+
+def _polevl(x, coefs):
+    """Cephes' polevl: the polynomial at x by Horner's rule, highest power first."""
+    out = x * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x, coefs):
+    """Cephes' p1evl: `_polevl` with a leading coefficient 1 left out."""
+    out = x + coefs[0]
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr(a, out=None):
+    """The standard normal CDF, elementwise, by Cephes' ndtr.
+
+    erfc runs P/Q up to |x| = 28, where exp(-x^2) is 0, instead of switching
+    to R/S at 8, where the tail is below 6e-30.  Runs in chunks of `_CHUNK`
+    elements; `out`, if given, is C-contiguous and may be `a`, and no
+    temporary is larger than a chunk.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.empty_like(a) if out is None else out
+    flat_a, flat_out = a.reshape(-1), out.reshape(-1)
+    x = np.empty(min(_CHUNK, a.size))
+    for lo in range(0, a.size, _CHUNK):
+        hi = min(lo + _CHUNK, a.size)
+        _ndtr_chunk(flat_a[lo:hi], flat_out[lo:hi], x[: hi - lo])
+    return out
+
+
+def _ndtr_chunk(a, out, x):
+    np.multiply(a, _SQRT1_2, out=x)
+    ax = np.abs(x)
+    near = ax < 1.0
+    inner = np.flatnonzero(near)
+    outer = np.flatnonzero(~near)            # and NaN
+    xi = x[inner]
+    w = xi * xi
+    y = xi * _polevl(w, _ERF_T_HALF)
+    y /= _p1evl(w, _ERF_U)                   # erf(x) / 2
+    y += 0.5
+    out[inner] = y
+    t = ax[outer]
+    np.minimum(t, 28.0, out=t)
+    half = t * t
+    np.negative(half, out=half)
+    np.exp(half, out=half)
+    half *= _polevl(t, _ERFC_P_HALF)
+    half /= _p1evl(t, _ERFC_Q)               # erfc(|x|) / 2
+    np.greater(x[outer], 0.0, out=t)
+    t -= half
+    out[outer] = np.abs(t, out=t)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +412,7 @@ def jsu_fit(errors: ErrorSample) -> JsuParams:
     if np.std(x) == 0.0:
         raise FitError("all residuals identical; JSU fit undefined")
     q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])
-    lam0 = (q75 - q25) / (2.0 * np.sinh(ndtri(0.75)))
+    lam0 = (q75 - q25) / (2.0 * np.sinh(_ndtri(0.75)))
     if lam0 <= 0:
         lam0 = float(np.std(x))
     best = None
@@ -333,7 +432,7 @@ def jsu_fit(errors: ErrorSample) -> JsuParams:
 
 def jsu_quantile(params: JsuParams, q):
     """Quantile function: xi + lambda * sinh((z_q - gamma) / delta)."""
-    z_q = ndtri(np.asarray(q, dtype=float))
+    z_q = _ndtri(q)
     return params.xi + params.lam * np.sinh((z_q - params.gamma) / params.delta)
 
 
@@ -738,12 +837,12 @@ def sqra_objective(beta: np.ndarray, X: np.ndarray, y: np.ndarray, q: float, ban
     """Kernel-smoothed check loss; converges to the pinball sum as H -> 0."""
     r = y - X @ beta
     z = r / bandwidth
-    return float(np.sum(bandwidth * _phi(z) + r * (q - ndtr(-z))))
+    return float(np.sum(bandwidth * _phi(z) + r * (q - _ndtr(-z))))
 
 
 def sqra_gradient(beta: np.ndarray, X: np.ndarray, y: np.ndarray, q: float, bandwidth: float) -> np.ndarray:
     r = y - X @ beta
-    return -X.T @ (q - ndtr(-r / bandwidth))
+    return -X.T @ (q - _ndtr(-r / bandwidth))
 
 
 #: Quantiles per block of `sqra_fit_grid`'s batched Newton solve; bounds its
@@ -775,24 +874,35 @@ def _sqra_accepts(f, f_new, t, slope, g_inf, g_inf_new):
 
 def _sqra_pass(beta, X, y, qs, bandwidth):
     """Objective, gradient and Hessian weights phi(z)/H of the smoothed loss
-    at beta (K, p), one row per quantile, from one residual, ndtr and exp
-    pass over the (K, m) residuals.  Four (K, m) buffers hold every
-    temporary; the operations are those of the formulas, in their order."""
-    r = beta @ X.T
-    np.subtract(y, r, out=r)                        # r = y - X beta
-    z = np.divide(r, bandwidth)
-    u = np.negative(z)
-    ndtr(u, out=u)
-    np.subtract(qs[:, None], u, out=u)              # u = q - ndtr(-z)
-    dens = np.multiply(-0.5, z)
-    np.multiply(dens, z, out=dens)
-    np.exp(dens, out=dens)
-    np.divide(dens, _SQRT_2PI, out=dens)            # dens = phi(z)
-    np.multiply(bandwidth, dens, out=z)
-    np.multiply(r, u, out=r)
-    np.add(z, r, out=z)                             # H phi(z) + r u
-    f = np.sum(z, axis=1)
-    return f, -(u @ X), np.divide(dens, bandwidth, out=dens)
+    at beta (K, p), one row per quantile, from one residual, normal-CDF and
+    exp pass over the (K, m) residuals.  The pass runs over blocks of rows
+    of about `_CHUNK` cells, so only the weights it returns are (K, m); the
+    operations are those of the formulas, in their order."""
+    K, m = beta.shape[0], X.shape[0]
+    f = np.empty(K)
+    g = np.empty(beta.shape)
+    w = np.empty((K, m))
+    rows = max(1, _CHUNK // m)
+    for lo in range(0, K, rows):
+        block = slice(lo, lo + rows)
+        r = beta[block] @ X.T
+        np.subtract(y, r, out=r)                    # r = y - X beta
+        z = np.divide(r, bandwidth)
+        u = np.negative(z)
+        _ndtr(u, out=u)
+        np.subtract(qs[block, None], u, out=u)      # u = q - Phi(-z)
+        dens = w[block]
+        np.multiply(-0.5, z, out=dens)
+        np.multiply(dens, z, out=dens)
+        np.exp(dens, out=dens)
+        np.divide(dens, _SQRT_2PI, out=dens)        # dens = phi(z)
+        np.multiply(bandwidth, dens, out=z)
+        np.multiply(r, u, out=r)
+        np.add(z, r, out=z)                         # H phi(z) + r u
+        f[block] = np.sum(z, axis=1)
+        np.negative(u @ X, out=g[block])
+        np.divide(dens, bandwidth, out=dens)
+    return f, g, w
 
 
 def _sqra_newton(X, XX, y, qs, bandwidth, beta, gtol):
@@ -881,7 +991,7 @@ def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None):
 
     The quantiles are solved in blocks of `_SQRA_BLOCK` by `_sqra_newton`,
     from `starts` (one row per quantile; least squares by default).  Each
-    trial point of a block costs one residual, `ndtr` and `exp` pass, which
+    trial point of a block costs one residual, `_ndtr` and `exp` pass, which
     gives the objective, the gradient and the Hessian weights together.
     Steps are accepted by `_sqra_accepts`, and a quantile stops at
     ||g||_inf <= 1e-9 * m * max(1, std(prices)), plus one Newton step from

@@ -15,7 +15,7 @@ import datetime as _dt
 import os
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtr
 
 from quantbess.backtest_engine import LEDGERS_FILE, METRICS_FILE, PROFITS_FILE, SELECTION_FILE
 from quantbess.bess_trading import LEDGER_COLUMNS
@@ -117,6 +117,23 @@ def _smoothed_check_loss(beta, X, y, q: float, bandwidth: float):
     slope = q - 0.5 * erfc(z / np.sqrt(2.0))
     loss = float(np.sum(bandwidth * density + r * slope))
     return loss, -X.T @ slope, X.T @ ((density / bandwidth)[:, None] * X)
+
+
+def sqra_pass(betas, X, y, qs, bandwidth: float):
+    """Per row k of `betas`, at level qs[k]: the smoothed check loss sum_i
+    l(r_i), its gradient in beta and the Hessian weights l''(r_i) = phi(r_i /
+    H) / H, with r = y - X beta and scipy's normal CDF, one quantile at a
+    time.  Returns (losses, gradients, weights) as (K,), (K, p), (K, m)."""
+    losses, gradients, weights = [], [], []
+    for beta, q in zip(betas, qs):
+        r = y - X @ beta
+        z = r / bandwidth
+        density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        slope = q - ndtr(-z)
+        losses.append(np.sum(bandwidth * density + r * slope))
+        gradients.append(-X.T @ slope)
+        weights.append(density / bandwidth)
+    return np.array(losses), np.array(gradients), np.array(weights)
 
 
 def sqra_newton(pool, prices, q: float, bandwidth: float) -> np.ndarray:

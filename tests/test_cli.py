@@ -193,9 +193,10 @@ class TestBacktest:
             main(["backtest", "--data", str(dataset), "--seed", "3"])
         assert exc.value.code == EXIT_USAGE
 
-    def test_five_method_run_loads_no_scipy_solver(self, dataset, tmp_path):
-        # scipy.optimize and scipy.sparse are imported only by the rare
-        # fallbacks: qra's HiGHS simplex and sqra's L-BFGS-B finish
+    def test_five_method_run_loads_no_scipy(self, dataset, tmp_path):
+        # the run path needs numpy and the standard library alone; scipy is
+        # imported only by the rare fallbacks, qra's HiGHS simplex and sqra's
+        # L-BFGS-B finish
         cfg = tmp_path / "five.cfg"
         cfg.write_text(SMALL_CONFIG.replace("= hs, cp", "= hs, cp, jsu, qra, sqra"))
         argv = ["backtest", "--data", str(dataset), "--config", str(cfg),
@@ -204,8 +205,7 @@ class TestBacktest:
             "import json, sys\n"
             "from quantbess import cli\n"
             "def loaded():\n"
-            "    names = ('scipy.optimize', 'scipy.sparse', 'scipy.special')\n"
-            "    return [name in sys.modules for name in names]\n"
+            "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
             "on_import = loaded()\n"
             f"code = cli.main({argv!r})\n"
             "print(json.dumps([on_import, code, loaded()]))\n"
@@ -217,7 +217,7 @@ class TestBacktest:
                               text=True, timeout=300, check=True)
         on_import, code, after_run = json.loads(done.stdout.splitlines()[-1])
         assert code == EXIT_OK
-        assert on_import == after_run == [False, False, True]
+        assert on_import == after_run == []
 
 
 class TestSingle:
@@ -438,6 +438,16 @@ class TestInputErrors:
                      "--model", "benchmark", "--output", str(out)])
         assert code == EXIT_RUNTIME
         assert _error_line(capsys) == f"error: [Errno 2] No such file or directory: '{out}'"
+
+    def test_ledger_onto_directory_fails_before_the_run(
+        self, dataset, config_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(backtest_engine, "run_single_model",
+                            lambda *args: pytest.fail("the run ran"))
+        code = main(["single", "--data", str(dataset), "--config", str(config_file),
+                     "--model", "benchmark", "--output", str(tmp_path)])
+        assert code == EXIT_RUNTIME
+        assert _error_line(capsys) == f"error: [Errno 21] Is a directory: '{tmp_path}'"
 
     def test_dataset_too_short_leaves_no_report_directory(self, dataset, tmp_path, capsys):
         # the default windows need more than the 90 days of `dataset`

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from oracles import (
     JSU_BOUNDS,
@@ -15,6 +15,7 @@ from oracles import (
     jsu_sample,
     pinball_sum,
     sqra_newton,
+    sqra_pass,
 )
 from quantbess import prob_models
 from quantbess.backtest_engine import BacktestConfig, run_backtest
@@ -426,7 +427,71 @@ def test_qra_fit_does_not_depend_on_start(monkeypatch, regime, rows):
         assert np.array_equal(qra_fit_grid(pool, prices, start=other), betas)
 
 
+class TestNormalDistribution:
+    """The numpy normal CDF against scipy's, and the standard library's
+    inverse against scipy's on the grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=hnp.arrays(float, st.integers(1, 40), elements=st.floats(-60.0, 60.0)))
+    def test_ndtr_matches_scipy(self, a):
+        # np.exp may differ from libm's exp by an ulp; above a = -11 the
+        # values stay within 4 ulp, below it they are under 2e-28
+        out, ref = prob_models._ndtr(a), ndtr(a)
+        err = np.abs(out - ref)
+        assert np.all(err <= 2.0**-52)
+        above = a >= -11.0
+        assert np.all(err[above] <= 4 * np.spacing(ref[above]))
+
+    def test_ndtr_edge_cases(self):
+        # x = a / sqrt(2) at 0, 1 / sqrt(2), the erf/erfc switch (just
+        # above 1, and 1 exactly), 8, 28.3 and inf, on both sides of 0
+        r2 = np.sqrt(2.0)
+        a = np.array([0.0, 1.0, r2, 1.0 / np.sqrt(0.5), 8 * r2, 40.0, np.inf])
+        out = prob_models._ndtr(np.concatenate([a, -a]))
+        ref = ndtr(np.concatenate([a, -a]))
+        assert np.all(np.abs(out - ref) <= 4 * np.spacing(ref))
+        assert list(out[[0, 5, 6, 7, 12, 13]]) == [0.5, 1.0, 1.0, 0.5, 0.0, 0.0]
+        # at a = -8 sqrt(2), x = -8, scipy switches to its R/S fraction;
+        # the P/Q one still holds there
+        tail = prob_models._ndtr(-8 * r2)
+        assert tail == pytest.approx(ndtr(-8 * r2), rel=1e-15)
+        assert np.isnan(prob_models._ndtr(np.nan))
+        assert np.isnan(prob_models._ndtr(np.array([0.3, np.nan, -2.0]))).tolist() == [
+            False, True, False]
+
+    def test_ndtr_chunks_in_place(self, monkeypatch, rng):
+        a = rng.normal(0.0, 4.0, (5, 37))
+        whole = prob_models._ndtr(a)
+        monkeypatch.setattr(prob_models, "_CHUNK", 7)
+        assert np.array_equal(prob_models._ndtr(a), whole)
+        prob_models._ndtr(a, out=a)
+        assert np.array_equal(a, whole)
+
+    def test_ndtri_matches_scipy_on_grid(self):
+        z, ref = prob_models._ndtri(QUANTILE_GRID), ndtri(QUANTILE_GRID)
+        assert np.all(np.abs(z - ref) <= 4 * np.spacing(np.abs(ref)))
+        assert prob_models._ndtri(0.75) == pytest.approx(ndtri(0.75), rel=1e-15)
+
+
 class TestSqra:
+    @pytest.mark.parametrize("window", ["cycle", "spiky"])
+    def test_pass_matches_reference(self, window):
+        # 33 quantiles over row blocks of _CHUNK cells; the betas at the
+        # optimum (gradient near 0) and at the least-squares start
+        pool, y = _cycle_window() if window == "cycle" else _hourly_window("spiky", 0, 40)
+        X = np.column_stack([np.ones(y.size), pool])
+        H = default_bandwidth(y - pool.mean(axis=1))
+        qs = QUANTILE_GRID[::3]
+        optimum = sqra_fit_grid(pool, y, H, qs=qs)
+        start = np.tile(np.linalg.lstsq(X, y, rcond=None)[0], (qs.size, 1))
+        g_scale = np.abs(X).sum(axis=0)          # |q - Phi| <= 1
+        for betas in (optimum, start):
+            f, g, w = prob_models._sqra_pass(betas, X, y, qs, H)
+            f_ref, g_ref, w_ref = sqra_pass(betas, X, y, qs, H)
+            assert np.all(np.abs(f - f_ref) <= 1e-12 * f_ref)
+            assert np.all(np.abs(g - g_ref) <= 1e-12 * g_scale)
+            assert np.all(np.abs(w - w_ref) <= 1e-12 * w_ref + np.finfo(float).tiny)
+
     def test_gradient_matches_finite_differences(self, rng):
         pool = rng.normal(20, 5, (60, 2))
         y = pool.mean(axis=1) + rng.normal(0, 2, 60)
