@@ -14,7 +14,6 @@ import ctypes
 import dataclasses
 import datetime as _dt
 import errno
-import hashlib
 import json
 import math
 import os
@@ -23,6 +22,17 @@ import sys
 from . import __version__, backtest_engine, bess_trading, market_data
 from .backtest_engine import BacktestConfig
 from .errors import ConfigError, QuantbessError
+
+# CPython's own sha256 (`_sha2` from 3.12, `_sha256` before): importing
+# hashlib would map and initialise OpenSSL's libcrypto, 3.5 MB of every run's
+# peak, for a few file digests
+try:
+    from _sha2 import sha256 as _new_sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256
+    except ImportError:  # a build without them
+        from hashlib import sha256 as _new_sha256
 
 MANIFEST_FILE = "run_manifest.json"
 
@@ -36,7 +46,7 @@ class UsageError(Exception):
 
 
 def _sha256(path) -> str:
-    digest = hashlib.sha256()
+    digest = _new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
@@ -217,8 +227,11 @@ def cmd_report(args) -> int:
         if not isinstance(files, dict):
             raise QuantbessError(f'{manifest_path}: "files" is not a JSON object')
         for name, digest in files.items():
-            path = os.path.join(outdir, name)
-            if not os.path.exists(path) or _sha256(path) != digest:
+            try:
+                intact = _sha256(os.path.join(outdir, name)) == digest
+            except OSError:  # missing, a directory or unreadable
+                intact = False
+            if not intact:
                 print(f"warning: checksum mismatch for {name}", file=sys.stderr)
 
     best = {}  # alpha -> (profit, metric)

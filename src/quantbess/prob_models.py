@@ -34,8 +34,9 @@ Five methods are provided:
   grid on one quantile.
 
 Empirical quantiles use linear interpolation of order statistics (numpy's
-default, the "type 7" rule).  Quantile crossing is resolved by sorting the 99
-values.
+default, the "type 7" rule), from one sort per sample in ``_quantiles``,
+which equals ``np.quantile`` bit for bit.  Quantile crossing is resolved by
+sorting the 99 values.
 
 The methods need only numpy and the standard library: sqra's normal CDF is
 a numpy port of Cephes' ``ndtr`` (``_ndtr``), and jsu's normal quantiles come
@@ -218,13 +219,35 @@ def quantile_index(q: float) -> int:
 # Historical simulation and conformal prediction
 # ---------------------------------------------------------------------------
 
+def _quantiles(x: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """numpy's linear (type 7) quantiles of the finite sample x at each q in
+    [0, 1], bit for bit up to the sign of a zero: one sort, then
+    `np.quantile`'s own rule in its operation order.  `np.quantile` would
+    partition at every index instead, and its `np.unique` imports numpy.ma."""
+    xs = np.sort(x, axis=None)
+    n = xs.size
+    v = (n - 1) * qs
+    lo = np.floor(v)
+    hi = lo + 1
+    last = v >= n - 1  # numpy takes x[-1] on both sides there, with gamma v + 1
+    lo[last] = hi[last] = -1
+    gamma = v - lo
+    a, b = xs[lo.astype(np.intp)], xs[hi.astype(np.intp)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def hs_offsets(errors: ErrorSample) -> np.ndarray:
-    return np.quantile(errors.residuals, QUANTILE_GRID)
+    """numpy's linear quantiles of the residuals on the grid, bit for bit."""
+    return _quantiles(errors.residuals, QUANTILE_GRID)
 
 
 def cp_offsets(errors: ErrorSample) -> np.ndarray:
-    """Signed offsets: -gamma below the median, +gamma above, 0 at q=0.5."""
-    gam = np.quantile(np.abs(errors.residuals), np.abs(1.0 - 2.0 * QUANTILE_GRID))
+    """Signed offsets: -gamma below the median, +gamma above, 0 at q=0.5;
+    gamma is numpy's linear quantile of |residuals| at |1 - 2q|, bit for bit."""
+    gam = _quantiles(np.abs(errors.residuals), np.abs(1.0 - 2.0 * QUANTILE_GRID))
     return np.where(QUANTILE_GRID < 0.5, -gam, np.where(QUANTILE_GRID > 0.5, gam, 0.0))
 
 
@@ -411,7 +434,7 @@ def jsu_fit(errors: ErrorSample) -> JsuParams:
     x = errors.residuals
     if np.std(x) == 0.0:
         raise FitError("all residuals identical; JSU fit undefined")
-    q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])
+    q25, q50, q75 = _quantiles(x, np.array([0.25, 0.5, 0.75]))
     lam0 = (q75 - q25) / (2.0 * np.sinh(_ndtri(0.75)))
     if lam0 <= 0:
         lam0 = float(np.std(x))
@@ -803,7 +826,7 @@ def qra_fit_grid(
     """
     X, prices, qs, prelim = _design(pool, prices, qs, start)
     if prelim is None:
-        coarse = np.unique(np.r_[0 : qs.size : 5, qs.size - 1])
+        coarse = np.r_[0 : qs.size - 1 : 5, qs.size - 1]  # every 5th and the last
         coarse = coarse[np.argsort(qs[coarse])]
         betas, _ = _qr_ipm(X, prices, qs[coarse])
         prelim = np.column_stack([np.interp(qs, qs[coarse], b) for b in betas.T])

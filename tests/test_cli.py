@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -18,7 +19,7 @@ from quantbess.cli import (
     main,
     read_config_file,
 )
-from quantbess import backtest_engine
+from quantbess import backtest_engine, cli
 from quantbess.backtest_engine import BacktestConfig
 from quantbess.errors import ConfigError
 
@@ -154,6 +155,22 @@ class TestBacktest:
         profits = (report_dir / "profits_by_metric.csv").read_text().strip().splitlines()
         assert len(profits) == 1 + 6 * 2  # header + metrics x alphas
 
+    def test_manifest_digests_are_sha256(self, report_dir, dataset):
+        manifest = json.loads((report_dir / MANIFEST_FILE).read_text())
+        paths = {name: report_dir / name for name in manifest["files"]}
+        digests = dict(manifest["files"])
+        paths["dataset"], digests["dataset"] = dataset, manifest["dataset_sha256"]
+        for name, path in paths.items():
+            assert digests[name] == hashlib.sha256(path.read_bytes()).hexdigest(), name
+
+    # empty, one byte, exactly one 1 MiB read chunk, and two chunks and a tail
+    @pytest.mark.parametrize("size", [0, 1, 1 << 20, (2 << 20) + 7])
+    def test_sha256_is_hashlib_sha256(self, tmp_path, size):
+        data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         code = main(["backtest", "--data", str(tmp_path / "none.csv")])
         assert code == EXIT_USAGE
@@ -193,31 +210,36 @@ class TestBacktest:
             main(["backtest", "--data", str(dataset), "--seed", "3"])
         assert exc.value.code == EXIT_USAGE
 
-    def test_five_method_run_loads_no_scipy(self, dataset, tmp_path):
-        # the run path needs numpy and the standard library alone; scipy is
+    def test_runs_load_no_scipy_openssl_or_numpy_ma(self, dataset, tmp_path):
+        # the run path needs numpy and the standard library alone: scipy is
         # imported only by the rare fallbacks, qra's HiGHS simplex and sqra's
-        # L-BFGS-B finish
+        # L-BFGS-B finish; the digests use CPython's own sha256, not
+        # hashlib's OpenSSL (`_hashlib`); and the quantiles never reach
+        # np.unique's lazy import of numpy.ma
         cfg = tmp_path / "five.cfg"
         cfg.write_text(SMALL_CONFIG.replace("= hs, cp", "= hs, cp, jsu, qra, sqra"))
-        argv = ["backtest", "--data", str(dataset), "--config", str(cfg),
-                "--output", str(tmp_path / "report")]
+        report = str(tmp_path / "report")
+        runs = [["backtest", "--data", str(dataset), "--config", str(cfg), "--output", report],
+                ["report", report],
+                ["single", "--data", str(dataset), "--config", str(cfg), "--model", "benchmark"]]
         script = (
             "import json, sys\n"
             "from quantbess import cli\n"
             "def loaded():\n"
-            "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+            "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'\n"
+            "                  or name in ('_hashlib', 'numpy.ma') or name.startswith('numpy.ma.'))\n"
             "on_import = loaded()\n"
-            f"code = cli.main({argv!r})\n"
-            "print(json.dumps([on_import, code, loaded()]))\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "print(json.dumps([on_import, codes, loaded()]))\n"
         )
         src = str(pathlib.Path(backtest_engine.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
-        on_import, code, after_run = json.loads(done.stdout.splitlines()[-1])
-        assert code == EXIT_OK
-        assert on_import == after_run == []
+        on_import, codes, after_runs = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [EXIT_OK] * len(runs)
+        assert on_import == after_runs == []
 
 
 class TestSingle:
@@ -311,13 +333,28 @@ class TestReport:
 
     def test_tampered_csv_warns(self, report_dir, capsys):
         path = report_dir / "profits_by_metric.csv"
-        original = path.read_text()
+        original = path.read_bytes()  # CRLF lines, which read_text would not give back
         try:
-            path.write_text(original + "0.5,pinball_all,999.0\n")
+            path.write_bytes(original + b"0.5,pinball_all,999.0\r\n")
             assert main(["report", str(report_dir)]) == EXIT_OK
             assert "checksum mismatch" in capsys.readouterr().err
         finally:
-            path.write_text(original)
+            path.write_bytes(original)
+
+    def test_unreadable_listed_file_warns(self, report_dir, tmp_path, capsys):
+        # a listed name that is a directory, or missing, is a mismatch, and
+        # the summary still prints
+        bundle = tmp_path / "bundle"
+        shutil.copytree(report_dir, bundle)
+        manifest = json.loads((bundle / MANIFEST_FILE).read_text())
+        manifest["files"].update(sub="00", gone="00")
+        (bundle / MANIFEST_FILE).write_text(json.dumps(manifest))
+        (bundle / "sub").mkdir()
+        assert main(["report", str(bundle)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "best metric" in out
+        assert err.splitlines() == ["warning: checksum mismatch for sub",
+                                    "warning: checksum mismatch for gone"]
 
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == EXIT_USAGE

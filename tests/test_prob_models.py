@@ -90,6 +90,37 @@ def _quantiles(offsets, point):
     return quantile_matrix(MethodContext("hs", offsets=offsets), point=np.full(24, point))[0]
 
 
+@st.composite
+def quantile_samples(draw):
+    """Finite samples of 1-5,000 values with heavy ties and magnitudes from
+    1e-5 to 1e300, with or without +0 and -0."""
+    n = draw(st.integers(1, 5000))
+    distinct = draw(st.sampled_from([1, 2, 3, 10, n]))
+    lo = draw(st.integers(-5, 300))
+    hi = draw(st.integers(lo, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(distinct) * 10.0 ** rng.uniform(lo, hi, distinct)
+    zeros = draw(st.integers(0, distinct))
+    values[:zeros] = 0.0
+    values[: draw(st.integers(0, zeros))] = -0.0
+    return values[rng.integers(0, distinct, n)]
+
+
+class TestEmpiricalQuantiles:
+    @settings(max_examples=300, deadline=None)
+    @given(quantile_samples(), st.sampled_from(["grid", "cp", "quartiles"]))
+    def test_matches_numpy_quantile(self, x, grid):
+        qs = {"grid": QUANTILE_GRID, "cp": np.abs(1.0 - 2.0 * QUANTILE_GRID),
+              "quartiles": np.array([0.25, 0.5, 0.75])}[grid]
+        got, want = prob_models._quantiles(x, qs), np.quantile(x, qs)
+        if np.signbit(x[x == 0.0]).any():
+            # where +0 and -0 tie at an interpolation point, numpy's sign
+            # follows its partition order
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestHistoricalSimulation:
     def test_symmetric_median(self):
         errors = ErrorSample(np.tile([-1.0, 0.0, 1.0], 50))
@@ -290,6 +321,22 @@ class TestQra:
             f_grid = pinball_sum(grid[i], X, y, q)
             f_single = pinball_sum(qra_fit(pool, y, q), X, y, q)
             assert f_grid == pytest.approx(f_single, rel=1e-10, abs=1e-9)
+
+    def test_grid_coarse_solve_takes_every_fifth_and_the_last(self, monkeypatch, rng):
+        class Coarse(Exception):
+            pass
+
+        def record(X, prices, qs):
+            raise Coarse(qs)
+
+        monkeypatch.setattr(prob_models, "_qr_ipm", record)
+        pool = rng.normal(40, 8, (120, 2))
+        for K in range(1, 100):
+            qs = QUANTILE_GRID[:K]
+            with pytest.raises(Coarse) as solved:
+                qra_fit_grid(pool, pool[:, 0], qs)
+            np.testing.assert_array_equal(solved.value.args[0],
+                                          qs[np.unique(np.r_[0:K:5, K - 1])])
 
     def test_grid_rejects_mismatched_prices(self, rng):
         pool = rng.normal(40, 8, (120, 2))
