@@ -13,7 +13,8 @@ a model per metric and alpha each trading day.  `run_single_model` gives it
 none: it forecasts from the first trading day, and an empty registry (the
 "benchmark" model) trades the price taker.  Point forecasts start at the
 first day the first forecast day reads, and cover the whole pool only when a
-method outside `prob_models.OFFSET_METHODS` reads it.
+method outside `prob_models.OFFSET_METHODS` reads it.  The loop owns the
+series' point-model design tensor: it builds it and frees it on return.
 
 Every forecast day d recalibrates each method on days d - prob_window ..
 d - 1, warm-started from the previous day's contexts (qra's betas, sqra's
@@ -99,6 +100,9 @@ class BacktestConfig:
                 out.append(f"unknown model tag {tag!r}")
         if not self.alphas:
             out.append("alphas must be non-empty")
+        repeated = sorted({a for a in self.alphas if self.alphas.count(a) > 1})
+        if repeated:
+            out.append(f"alpha(s) {repeated} given more than once")
         for alpha in self.alphas:
             try:
                 eval_metrics.alpha_quantiles(alpha)
@@ -157,15 +161,17 @@ def _stage(day, stage, fn, *args, **kwargs):
 
 
 def _calibrate(series, config, registry, d, primary, pool, previous) -> dict:
-    """Each method of `registry`, in order, calibrated for day d on the
-    `prob_window` days before it, from `previous`, the previous day's
-    contexts; `pool` is None when no method reads it."""
-    window_days = range(d - config.prob_window, d)
+    """Each method of `registry`, in order, calibrated for day d from
+    `previous`, the previous day's contexts, and the forecasts of the
+    `prob_window` days before it: `primary` (days, 24) and `pool`
+    (days, variants, 24), None when no method reads it."""
+    window = slice(d - config.prob_window, d)
     contexts = {}
     inputs = CalibrationInputs(
-        errors=ErrorSample(np.concatenate([series.prices[t] - primary[t] for t in window_days])),
-        pool=None if pool is None else np.vstack([pool[t].T for t in window_days]),
-        prices=series.prices[window_days.start : d].reshape(-1),
+        errors=ErrorSample((series.prices[window] - primary).reshape(-1)),
+        # F-ordered (hours, variants): on a C-ordered copy sqra's fit moves in the last bits
+        pool=None if pool is None else pool.transpose(1, 0, 2).reshape(pool.shape[1], -1).T,
+        prices=series.prices[window].reshape(-1),
         contexts=contexts,
         previous=previous,
     )
@@ -184,13 +190,15 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
 
     The ledger, selections and averages are allocated once with a row per
     trading day; each day's settlement and selection is copied into its row
-    and dropped, so nothing per day outlives the day.
+    and dropped, so nothing per day outlives the day.  The point forecasts
+    fill arrays with a row per day from the loop's first day.
     """
     first = config.first_forecast_day if store is not None else config.first_trading_day
     start = first - config.prob_window if registry else first
     reads_pool = not set(registry) <= set(prob_models.OFFSET_METHODS)
     solve = None if reads_pool else (config.point_window,)
-    primary, pool = {}, ({} if reads_pool else None)
+    primary = np.empty((series.n_days - start, 24))
+    pool = np.empty((len(primary), len(config.pool_window_lengths), 24)) if reads_pool else None
     contexts = {}
     # with a store, strategies run metric-major, alpha-minor, as chosen.ravel() does
     alphas = tuple(config.alphas) * (len(METRICS) if store is not None else 1)
@@ -204,24 +212,30 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
         chosen = np.empty(selections, dtype=int)
         averages = np.empty(selections + (len(registry),))
 
+    # after the arrays that outlive the loop, so the heap space it frees is at the top
+    tensor = point_model.design_tensor(series)
+
     for d in range(start, series.n_days):
         forecast, failures = _stage(
             d, "point-pool", point_model.forecast_pool,
-            series, d, config.pool_window_lengths, solve,
+            tensor, d, config.pool_window_lengths, solve,
         )
         if failures:
             raise BacktestStageError(d, "point-pool", f"pool variants failed: {sorted(failures)}")
-        primary[d] = forecast.variant(config.point_window)
+        i = d - start
+        primary[i] = forecast.variant(config.point_window)
         if pool is not None:
-            pool[d] = forecast.values
+            pool[i] = forecast.values
         if d < first:
             continue
 
         if registry:
-            contexts = _calibrate(series, config, registry, d, primary, pool, contexts)
+            window = slice(i - config.prob_window, i)
+            contexts = _calibrate(series, config, registry, d, primary[window],
+                                  None if pool is None else pool[window], contexts)
             matrices = [
                 _stage(d, f"forecast:{tag}", prob_models.quantile_matrix,
-                       contexts[tag], primary[d], None if pool is None else pool[d])
+                       contexts[tag], primary[i], None if pool is None else pool[i])
                 for tag in registry
             ]
             hours = [bess_trading.choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]
@@ -230,7 +244,7 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
         if d in trading_days:
             row = d - trading_days.start
             if not registry:
-                orders = _stage(d, "orders", bess_trading.benchmark_orders, primary[d])
+                orders = _stage(d, "orders", bess_trading.benchmark_orders, primary[i])
             else:
                 if store is not None:
                     chosen[row], averages[row] = _stage(

@@ -124,6 +124,8 @@ def build_config(values: dict) -> BacktestConfig:
 def cmd_synth(args) -> int:
     if args.days < 1:
         raise UsageError(f"--days must be at least 1, got {args.days}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     series = market_data.synth_generate(args.days, args.seed, args.regime)
     market_data.export_csv(series, args.output)
     print(f"wrote {args.output}: {series.n_days} days, regime={args.regime}, seed={args.seed}")
@@ -165,9 +167,6 @@ def cmd_backtest(args) -> int:
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
     report = backtest_engine.run_backtest(series, config)
-    # the point model's design tensor lives as long as the series; free it
-    # before the writer allocates its blocks
-    del series
     paths = backtest_engine.write_report(report, outdir)
 
     manifest = {

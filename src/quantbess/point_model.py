@@ -5,15 +5,17 @@ extremes, the end-of-day price, the load forecast and seven weekday dummies
 (14 coefficients; the dummies span the intercept).  A pool of variants is
 produced by calibrating the same model on several window lengths.
 
-`calibrate` fits one hour on one window with `lstsq` and returns its 14
-coefficients; it is the reference for `forecast_pool`, which fits all 24
-hours of every pool window together.  The (24, days, 15) design-and-target
-tensor of a series is built once, for every day d >= 7, and kept while the
-series lives; each day's windows and features are slices of it.  All pool
-windows end the day before the forecast day, so each window is a suffix of
-the longest one's rows.  A stacked QR of [X | y] gives each window's R and
-Q'y for all 24 hours at once (the QR of a window updates the R of the next
-shorter one with the rows it lacks).
+`design_tensor` builds a series' (24, days, 15) design-and-target tensor,
+for every day d >= 7; it is the only feature builder.  `calibrate` fits one
+hour on one window with `lstsq` and returns its 14 coefficients; it is the
+reference for `forecast_pool`, which fits all 24 hours of every pool window
+together.  The caller owns the tensor and passes it to each day's
+`forecast_pool`: the backtest's day loop builds it once and drops it when
+the loop returns.  Each day's windows and features are slices of it.  All
+pool windows end the day before the forecast day, so each window is a
+suffix of the longest one's rows.  A stacked QR of [X | y] gives each
+window's R and Q'y for all 24 hours at once (the QR of a window updates the
+R of the next shorter one with the rows it lacks).
 
 The singular values of R are those of X and set the rank by lstsq's rule,
 s_min > eps * max(m, 14) * s_max for m usable days.  Bounds decide it first:
@@ -31,7 +33,6 @@ full pool gives; only the rank test, the solve and the forecasts shrink.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,6 @@ _RIDGE_EPS = 1e-8
 #: Factor by which `_full_rank`'s bounds must clear the rank threshold.
 _RANK_MARGIN = 4.0
 
-# id(series) -> its `_series_tensor`; an entry goes with its series
-_TENSORS = {}
-
 
 @dataclass(frozen=True)
 class PointForecastSet:
@@ -80,15 +78,15 @@ class PointForecastSet:
         return self.values[idx]
 
 
-def _design_tensor(series: MarketSeries, days: np.ndarray, with_target: bool = False) -> np.ndarray:
-    """(24, days, 14) feature tensor: entry [h - 1, i] holds the regressors of
-    (days[i], h): y_lag1, y_lag2, y_lag7, y_eod, y_max_prev, y_min_prev,
-    load, then seven weekday dummies (Mon..Sun).  Every day must be >= 7.
-    `with_target` appends the price being regressed, that of (days[i], h),
-    as a 15th column."""
+def design_tensor(series: MarketSeries) -> np.ndarray:
+    """(24, n_days - 7, 15) design-and-target tensor: entry [h - 1, d - 7]
+    holds the regressors of (d, h): y_lag1, y_lag2, y_lag7, y_eod,
+    y_max_prev, y_min_prev, load, then seven weekday dummies (Mon..Sun),
+    and as a 15th column the price being regressed, that of (d, h)."""
     p = series.prices
+    days = np.arange(FEATURE_LAG, series.n_days)
     prev = p[days - 1]
-    X = np.zeros((24, days.size, N_COEFFICIENTS + with_target))
+    X = np.zeros((24, days.size, N_COEFFICIENTS + 1))
     X[:, :, 0] = prev.T
     X[:, :, 1] = p[days - 2].T
     X[:, :, 2] = p[days - 7].T
@@ -97,8 +95,7 @@ def _design_tensor(series: MarketSeries, days: np.ndarray, with_target: bool = F
     X[:, :, 5] = prev.min(axis=1)
     X[:, :, 6] = series.loads[days].T
     X[:, np.arange(days.size), 6 + np.asarray(series.weekday(days))] = 1.0
-    if with_target:
-        X[:, :, N_COEFFICIENTS] = p[days].T
+    X[:, :, N_COEFFICIENTS] = p[days].T
     return X
 
 
@@ -114,8 +111,8 @@ def calibrate(series: MarketSeries, days, h: int) -> np.ndarray:
         raise InsufficientDataError(
             f"{days.size} usable days in window; need >= {MIN_CALIBRATION_DAYS}"
         )
-    X = _design_tensor(series, days)[h - 1]
-    y = series.prices[days, h - 1]
+    Xy = design_tensor(series)[h - 1, days - FEATURE_LAG]
+    X, y = Xy[:, :N_COEFFICIENTS], Xy[:, N_COEFFICIENTS]
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < N_COEFFICIENTS:
         # Column-proportional ridge keeps the bias at ~1e-8 relative per
@@ -134,17 +131,18 @@ def calibrate(series: MarketSeries, days, h: int) -> np.ndarray:
     return beta
 
 
-def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WINDOWS,
+def forecast_pool(tensor: np.ndarray, d: int, window_lengths=DEFAULT_POOL_WINDOWS,
                   solve=None):
     """Point forecasts for day d from the model calibrated on each window length.
 
-    `solve` names the window lengths to fit, a subset of `window_lengths`
-    (default: all of them); the result and the failures cover those alone.
-    Returns (PointForecastSet, failures) where failures maps a dropped window
-    length to the error that removed it.  A window of length L holds days
-    d - L .. d - 1.  Each window's forecasts equal day d's regressors times
-    `calibrate`'s coefficients up to rounding; see the module docstring for
-    how the 24 hourly fits of all windows are solved together.
+    `tensor` is the series' `design_tensor`.  `solve` names the window
+    lengths to fit, a subset of `window_lengths` (default: all of them); the
+    result and the failures cover those alone.  Returns (PointForecastSet,
+    failures) where failures maps a dropped window length to the error that
+    removed it.  A window of length L holds days d - L .. d - 1.  Each
+    window's forecasts equal day d's regressors times `calibrate`'s
+    coefficients up to rounding; see the module docstring for how the 24
+    hourly fits of all windows are solved together.
     """
     window_lengths = tuple(window_lengths)
     if not window_lengths:
@@ -158,7 +156,6 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
             f"or the one-week lag ({FEATURE_LAG})"
         )
     first = max(d - max(window_lengths), FEATURE_LAG)
-    tensor = _series_tensor(series)
     Xy = tensor[:, first - FEATURE_LAG : d - FEATURE_LAG]
     n_rows = Xy.shape[1]
 
@@ -204,18 +201,6 @@ def forecast_pool(series: MarketSeries, d: int, window_lengths=DEFAULT_POOL_WIND
     x_day = tensor[:, d - FEATURE_LAG, :n]
     values = np.einsum("vhk,hk->vh", beta[fitted], x_day)
     return PointForecastSet(day=d, window_lengths=tuple(kept), values=values), failures
-
-
-def _series_tensor(series: MarketSeries) -> np.ndarray:
-    """`_design_tensor` with targets of every day from FEATURE_LAG on,
-    built once per series and dropped when the series is collected."""
-    key = id(series)
-    tensor = _TENSORS.get(key)
-    if tensor is None:
-        tensor = _design_tensor(series, np.arange(FEATURE_LAG, series.n_days), with_target=True)
-        _TENSORS[key] = tensor
-        weakref.finalize(series, _TENSORS.pop, key, None)
-    return tensor
 
 
 def _full_rank(R: np.ndarray, rows) -> np.ndarray:

@@ -19,9 +19,9 @@ def recorded_forecasts():
     forecast_pool, quantile_matrix = point_model.forecast_pool, prob_models.quantile_matrix
     forecasts, day = {}, [None]
 
-    def noting_day(series, d, *args, **kwargs):
+    def noting_day(tensor, d, *args, **kwargs):
         day[0] = d
-        return forecast_pool(series, d, *args, **kwargs)
+        return forecast_pool(tensor, d, *args, **kwargs)
 
     def keeping_matrix(ctx, *args, **kwargs):
         qf = quantile_matrix(ctx, *args, **kwargs)

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from quantbess.backtest_engine import (
     run_single_model,
     write_report,
 )
-from quantbess import bess_trading
+from quantbess import bess_trading, point_model
 from quantbess.bess_trading import (
     LEDGER_COLUMNS,
     LEDGER_DTYPES,
@@ -38,7 +39,7 @@ from quantbess.bess_trading import (
 from quantbess.errors import BacktestStageError, ConfigError
 from quantbess.eval_metrics import DEFAULT_ALPHAS, METRICS
 from quantbess.market_data import synth_generate
-from quantbess.point_model import forecast_pool
+from quantbess.point_model import design_tensor, forecast_pool
 from quantbess.prob_models import (
     MEDIAN_INDEX,
     CalibrationInputs,
@@ -111,10 +112,12 @@ class TestConfig:
         ((0.8, float("inf")), "alpha inf outside [0, 1)"),
         ((float("nan"),), "alpha nan outside [0, 1)"),
         ((), "alphas must be non-empty"),
+        ((0.5, 0.8, 0.5), "alpha(s) [0.5] given more than once"),
     ])
     def test_bad_alphas_reported(self, small_config, alphas, problem):
-        # all used to pass: -0.5 then traded with its bounds swapped, and inf
-        # and no alphas ended the run with a traceback
+        # all used to pass: -0.5 then traded with its bounds swapped, inf and
+        # no alphas ended the run with a traceback, and a repeated alpha
+        # wrote its strategies twice
         config = replace(small_config, alphas=alphas)
         assert config.problems(90) == [problem]
 
@@ -222,6 +225,29 @@ class TestLedgerInPlace:
         assert peak - kept < 1_500_000, (peak, kept)
 
 
+class TestDesignTensorLifetime:
+    """The day loop owns the series' design tensor: it is freed when the run
+    returns, before the caller writes the bundle or the ledger."""
+
+    @pytest.mark.parametrize("run", [
+        lambda series, config: run_backtest(series, config),
+        lambda series, config: run_single_model(series, config, "benchmark", 0.8),
+        lambda series, config: run_single_model(series, config, "qra", 0.8),
+    ], ids=["backtest", "benchmark", "qra"])
+    def test_freed_when_the_run_returns(self, small_series, small_config, monkeypatch, run):
+        built = []
+
+        def keeping_weakref(series):
+            tensor = design_tensor(series)
+            built.append(weakref.ref(tensor))
+            return tensor
+
+        monkeypatch.setattr(point_model, "design_tensor", keeping_weakref)
+        # the run's result is still alive here, and must not hold the tensor
+        result = run(small_series, replace(small_config, model_registry=("hs", "cp")))
+        assert len(built) == 1 and built[0]() is None, result
+
+
 class TestRunSingleModel:
     # run_single_model calibrates qra cold on its first day, where
     # run_backtest starts it from the previous calibration's betas.
@@ -237,7 +263,9 @@ class TestRunSingleModel:
                     getattr(single, name)[:, 0].tolist()
                 ), name
 
-    @pytest.mark.parametrize("model", ["benchmark", "hs"])
+    # qra and sqra read the pool history; a C-ordered copy of it moves
+    # sqra's fit in the last bits
+    @pytest.mark.parametrize("model", ["benchmark", "hs", "qra", "sqra"])
     def test_matches_full_schedule(self, small_series, small_config, model):
         config = replace(small_config, alphas=(0.8,))
         want = _full_schedule_single(small_series, config, model)
@@ -258,11 +286,12 @@ class TestRunSingleModel:
 def _full_schedule_single(series, config, model):
     """run_single_model's reference: the whole pool on every day from the
     first point day, each trading day calibrated on the `prob_window` days
-    before it."""
+    before it, from the previous trading day's calibration."""
     primary, pool = {}, {}
-    level, days = np.ones(1, dtype=int), []
+    level, days, previous = np.ones(1, dtype=int), [], {}
+    tensor = design_tensor(series)
     for d in range(config.first_point_day, series.n_days):
-        forecasts, _ = forecast_pool(series, d, config.pool_window_lengths)
+        forecasts, _ = forecast_pool(tensor, d, config.pool_window_lengths)
         primary[d], pool[d] = forecasts.variant(config.point_window), forecasts.values
         if d < config.first_trading_day:
             continue
@@ -275,7 +304,9 @@ def _full_schedule_single(series, config, model):
                     [series.prices[t] - primary[t] for t in window_days])),
                 pool=np.vstack([pool[t].T for t in window_days]),
                 prices=series.prices[window_days.start:d].reshape(-1),
+                previous=previous,
             ))
+            previous = {model: ctx}
             qf = quantile_matrix(ctx, primary[d], pool[d])
             orders = build_orders([qf], [choose_hours(qf[:, MEDIAN_INDEX])], [0],
                                   config.alphas, level)

@@ -391,6 +391,12 @@ class TestInputErrors:
         assert "--days" in _error_line(capsys)
         assert not (tmp_path / "out.csv").exists()
 
+    def test_synth_negative_seed_exit_2(self, tmp_path, capsys):
+        # used to end in numpy's ValueError traceback with exit 1
+        assert main(["synth", str(tmp_path / "out.csv"), "--seed", "-1"]) == EXIT_USAGE
+        assert "--seed" in _error_line(capsys)
+        assert not (tmp_path / "out.csv").exists()
+
     def test_ingest_empty_delimiter_exit_2(self, dataset, tmp_path, capsys):
         code = main(["ingest", str(dataset), str(tmp_path / "out.csv"), "--delimiter", ""])
         assert code == EXIT_USAGE
@@ -400,9 +406,11 @@ class TestInputErrors:
         ("alphas = -0.5", "alpha -0.5 outside [0, 1)"),
         ("alphas = inf", "alpha inf outside [0, 1)"),
         ("alphas =", "alphas must be non-empty"),
+        ("alphas = 0.5, 0.5", "alpha(s) [0.5] given more than once"),
     ])
     def test_bad_alphas_exit_2(self, dataset, tmp_path, capsys, line, problem):
-        # -0.5 used to write a bundle, inf and an empty list to end in a traceback
+        # -0.5 used to write a bundle, inf and an empty list to end in a
+        # traceback, and a repeated alpha to write its strategies twice
         cfg = tmp_path / "alphas.cfg"
         cfg.write_text(SMALL_CONFIG.replace("alphas = 0.5, 0.8", line))
         code = main(["backtest", "--data", str(dataset), "--config", str(cfg),

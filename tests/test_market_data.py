@@ -11,7 +11,7 @@ from quantbess.market_data import (
     ingest_csv,
     synth_generate,
 )
-from quantbess.point_model import _design_tensor, calibrate, forecast_pool
+from quantbess.point_model import N_COEFFICIENTS, calibrate, design_tensor, forecast_pool
 
 
 def _flat_series(n_days, price=50.0, load=100.0, start_weekday=1):
@@ -60,7 +60,7 @@ class TestMarketSeries:
         # the seven weekday columns of the regressors
         series = _flat_series(21, start_weekday=6)
         days = np.arange(7, 21)
-        dummies = _design_tensor(series, days)[:, :, 7:]
+        dummies = design_tensor(series)[:, :, 7:N_COEFFICIENTS]
         assert (dummies.sum(axis=2) == 1.0).all()
         for i, d in enumerate(days):
             assert (dummies[:, i, series.weekday(d) - 1] == 1.0).all()
@@ -76,7 +76,7 @@ class TestWindow:
 
     def test_full_span(self):
         series = synth_generate(365, seed=3)
-        pool, failures = forecast_pool(series, 364, window_lengths=[364])
+        pool, failures = forecast_pool(design_tensor(series), 364, window_lengths=[364])
         assert failures == {} and pool.window_lengths == (364,)
         want = _window_forecast(series, 364, 364, 5)
         assert pool.values[0, 4] == pytest.approx(want, rel=1e-10)
@@ -84,11 +84,11 @@ class TestWindow:
     def test_overlong_window_rejected(self):
         series = synth_generate(365, seed=3)
         with pytest.raises(InsufficientDataError):
-            forecast_pool(series, 363, window_lengths=[364])
+            forecast_pool(design_tensor(series), 363, window_lengths=[364])
 
     def test_interior_window(self):
         series = synth_generate(500, seed=3)
-        pool, _ = forecast_pool(series, 401, window_lengths=[30])
+        pool, _ = forecast_pool(design_tensor(series), 401, window_lengths=[30])
         for h in (1, 12, 24):
             want = _window_forecast(series, 401, 30, h)
             assert pool.values[0, h - 1] == pytest.approx(want, rel=1e-10)
@@ -97,14 +97,14 @@ class TestWindow:
         # prices before the window's lags, and after day d - 1, are not read
         series = synth_generate(120, seed=3)
         d, length = 100, 56
-        base, _ = forecast_pool(series, d, window_lengths=[length])
+        base, _ = forecast_pool(design_tensor(series), d, window_lengths=[length])
         for day, read in ((d - length - 8, False), (d - length - 7, True),
                           (d - 1, True), (d, False), (d + 5, False)):
             prices = series.prices.copy()
             prices[day] += 40.0
             moved = MarketSeries(prices=prices, loads=series.loads,
                                  start_weekday=series.start_weekday)
-            pool, _ = forecast_pool(moved, d, window_lengths=[length])
+            pool, _ = forecast_pool(design_tensor(moved), d, window_lengths=[length])
             assert (not np.array_equal(pool.values, base.values)) == read, day
 
     def test_reversed_bounds_rejected(self):
@@ -112,7 +112,7 @@ class TestWindow:
         # lag-trimmed span [7, d - 1] is reversed, is no window
         series = _flat_series(60)
         with pytest.raises(InsufficientDataError):
-            forecast_pool(series, 5, window_lengths=[3])
+            forecast_pool(design_tensor(series), 5, window_lengths=[3])
         with pytest.raises(InsufficientDataError):
             calibrate(series, np.arange(2, 5), 1)
 

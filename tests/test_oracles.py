@@ -1,6 +1,6 @@
 """`oracles.py` stays an independent check of the package.
 
-An oracle that called `daily_scores`, `_design_tensor` or `alpha_quantiles`
+An oracle that called `daily_scores`, `design_tensor` or `alpha_quantiles`
 would agree with the code it checks by construction.  So the oracles may
 import from `quantbess` only constants (upper-case names bound to values),
 `MarketSeries` and the error classes.
@@ -47,7 +47,7 @@ def test_oracles_import_only_constants_and_types():
 @pytest.mark.parametrize("source", [
     "from quantbess.eval_metrics import daily_scores",
     "from quantbess.eval_metrics import alpha_quantiles",
-    "from quantbess.point_model import _design_tensor",
+    "from quantbess.point_model import design_tensor",
     "from quantbess.prob_models import MethodContext",
     "from quantbess import prob_models",
     "import quantbess.eval_metrics",

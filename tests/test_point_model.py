@@ -1,5 +1,3 @@
-import gc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,18 +8,18 @@ from quantbess.errors import CalibrationError, InsufficientDataError
 from quantbess.market_data import MarketSeries, synth_generate
 from quantbess.point_model import (
     DEFAULT_POOL_WINDOWS,
+    FEATURE_LAG,
     N_COEFFICIENTS,
-    _TENSORS,
-    _design_tensor,
     _full_rank,
     calibrate,
+    design_tensor,
     forecast_pool,
 )
 
 
 def _design(series, days, h):
     """The regressor rows of hour h for the given days."""
-    return _design_tensor(series, np.asarray(days))[h - 1]
+    return design_tensor(series)[h - 1, np.asarray(days) - FEATURE_LAG, :N_COEFFICIENTS]
 
 
 def _days(end_day, length):
@@ -74,7 +72,7 @@ _TRUE_BETA = np.array([
 
 
 class TestBuildFeatures:
-    """The regressor rows of `_design_tensor`, which the pool slices."""
+    """The regressor rows of `design_tensor`, which the pool slices."""
 
     def test_constant_series(self):
         series = _flat_series(20)
@@ -100,7 +98,7 @@ class TestBuildFeatures:
     def test_insufficient_history(self):
         series = _flat_series(20)
         with pytest.raises(InsufficientDataError):
-            forecast_pool(series, 6, window_lengths=[5])
+            forecast_pool(design_tensor(series), 6, window_lengths=[5])
         with pytest.raises(InsufficientDataError):
             regressors(series, 6, 1)
 
@@ -154,14 +152,14 @@ class TestPredict:
         # a zero price history fits zero coefficients and forecasts zero
         loads = np.random.default_rng(0).uniform(600.0, 1400.0, (120, 24))
         series = MarketSeries(prices=np.zeros((120, 24)), loads=loads)
-        pool, _ = forecast_pool(series, 100, window_lengths=[56])
+        pool, _ = forecast_pool(design_tensor(series), 100, window_lengths=[56])
         assert (pool.values == 0.0).all()
 
     def test_single_eod_coefficient(self):
         coef = np.zeros(14)
         coef[3] = 1.0
         series = synth_generate(30, seed=4)
-        X = _design_tensor(series, np.array([20]))[:, 0]
+        X = design_tensor(series)[:, 20 - FEATURE_LAG, :N_COEFFICIENTS]
         assert (X @ coef == series.prices[19, 23]).all()
 
     def test_in_sample_consistency(self):
@@ -183,7 +181,7 @@ class TestPredict:
             loads[d] += load_shift
             moved = MarketSeries(prices=series.prices, loads=loads,
                                  start_weekday=series.start_weekday)
-            return forecast_pool(moved, d, window_lengths=[56])[0].values[0]
+            return forecast_pool(design_tensor(moved), d, window_lengths=[56])[0].values[0]
 
         base = forecast(0.0)
         shift_1, shift_2 = np.linspace(10.0, 240.0, 24), np.full(24, 55.0)
@@ -196,7 +194,7 @@ class TestPredict:
     def test_shifted_constant_series(self):
         for c in (42.0, 142.0):
             series = _flat_series(400, price=c)
-            pool, _ = forecast_pool(series, 399, window_lengths=[364])
+            pool, _ = forecast_pool(design_tensor(series), 399, window_lengths=[364])
             assert np.allclose(pool.values[0], c, atol=1e-8)
             fitted = [regressors(series, 399, h) @ calibrate(series, _days(398, 364), h)
                       for h in range(1, 25)]
@@ -206,26 +204,26 @@ class TestPredict:
 class TestForecastPool:
     def test_single_variant_shape(self):
         series = synth_generate(400, seed=5)
-        pool, failures = forecast_pool(series, 380, window_lengths=[364])
+        pool, failures = forecast_pool(design_tensor(series), 380, window_lengths=[364])
         assert pool.values.shape == (1, 24)
         assert failures == {}
         assert np.array_equal(pool.variant(364), pool.values[0])
 
     def test_zero_noise_variants_agree(self):
         series = _recursive_series(380, _TRUE_BETA, seed=2)
-        pool, _ = forecast_pool(series, 375, window_lengths=[56, 112, 364])
+        pool, _ = forecast_pool(design_tensor(series), 375, window_lengths=[56, 112, 364])
         assert np.allclose(pool.values[0], pool.values[1], atol=1e-6)
         assert np.allclose(pool.values[0], pool.values[2], atol=1e-6)
 
     def test_spiky_variants_differ(self):
         series = synth_generate(400, seed=8, regime="spiky")
-        pool, _ = forecast_pool(series, 380, window_lengths=[56, 364])
+        pool, _ = forecast_pool(design_tensor(series), 380, window_lengths=[56, 364])
         assert np.any(np.abs(pool.values[0] - pool.values[1]) > 1e-6)
 
     def test_insufficient_history(self):
         series = synth_generate(100, seed=0)
         with pytest.raises(InsufficientDataError):
-            forecast_pool(series, 90, window_lengths=[364])
+            forecast_pool(design_tensor(series), 90, window_lengths=[364])
 
     def test_default_pool(self):
         assert DEFAULT_POOL_WINDOWS == (56, 84, 112, 182, 364)
@@ -248,7 +246,7 @@ def _per_hour_pool(series, d, window_lengths):
 
 def _assert_pool_matches_per_hour(series, d, window_lengths):
     kept, rows, failures = _per_hour_pool(series, d, window_lengths)
-    pool, got_failures = forecast_pool(series, d, window_lengths)
+    pool, got_failures = forecast_pool(design_tensor(series), d, window_lengths)
     assert pool.window_lengths == kept
     assert {k: type(v) for k, v in got_failures.items()} == {
         k: type(v) for k, v in failures.items()
@@ -282,7 +280,7 @@ class TestForecastPoolMatchesPerHourFits:
     def test_short_window_dropped_as_in_per_hour_fits(self):
         # Window 25 has 25 usable days; window 45 starts at day 0 and keeps 38.
         series = synth_generate(60, seed=2)
-        pool, failures = forecast_pool(series, 45, (45, 25))
+        pool, failures = forecast_pool(design_tensor(series), 45, (45, 25))
         assert pool.window_lengths == (45,)
         assert isinstance(failures[25], InsufficientDataError)
         _assert_pool_matches_per_hour(series, 45, (45, 25))
@@ -293,7 +291,7 @@ class TestForecastPoolMatchesPerHourFits:
         kept, _, failures = _per_hour_pool(series, 36, (36, 30))
         assert kept == () and set(failures) == {36, 30}
         with pytest.raises(CalibrationError, match="every pool variant failed"):
-            forecast_pool(series, 36, (36, 30))
+            forecast_pool(design_tensor(series), 36, (36, 30))
 
 
 class TestPartialPool:
@@ -309,8 +307,8 @@ class TestPartialPool:
         solve = data.draw(st.sets(st.sampled_from(window_lengths), min_size=1))
         series = synth_generate(400, seed=seed, regime=regime)
         d = 364 + offset
-        full, _ = forecast_pool(series, d, window_lengths)
-        part, failures = forecast_pool(series, d, window_lengths, solve)
+        full, _ = forecast_pool(design_tensor(series), d, window_lengths)
+        part, failures = forecast_pool(design_tensor(series), d, window_lengths, solve)
         assert failures == {}
         assert part.window_lengths == tuple(w for w in window_lengths if w in solve)
         for length, values in zip(part.window_lengths, part.values):
@@ -318,23 +316,23 @@ class TestPartialPool:
 
     def test_primary_only(self):
         series = synth_generate(400, seed=4, regime="spiky")
-        full, _ = forecast_pool(series, 380)
-        part, _ = forecast_pool(series, 380, solve=(364,))
+        full, _ = forecast_pool(design_tensor(series), 380)
+        part, _ = forecast_pool(design_tensor(series), 380, solve=(364,))
         assert part.window_lengths == (364,)
         assert np.array_equal(part.values[0], full.variant(364))
 
     def test_failures_cover_solved_variants(self):
         # Window 25 keeps 25 usable days and fails only when it is solved.
         series = synth_generate(60, seed=2)
-        pool, failures = forecast_pool(series, 45, (45, 25), solve=(45,))
+        pool, failures = forecast_pool(design_tensor(series), 45, (45, 25), solve=(45,))
         assert pool.window_lengths == (45,) and failures == {}
         with pytest.raises(CalibrationError, match="every pool variant failed"):
-            forecast_pool(series, 45, (45, 25), solve=(25,))
+            forecast_pool(design_tensor(series), 45, (45, 25), solve=(25,))
 
     @pytest.mark.parametrize("solve", [(), (84,)])
     def test_solve_outside_window_lengths(self, solve):
         with pytest.raises(ValueError, match="solve"):
-            forecast_pool(synth_generate(400, seed=1), 380, (56, 364), solve)
+            forecast_pool(design_tensor(synth_generate(400, seed=1)), 380, (56, 364), solve)
 
 
 def _svd_rule(R, rows):
@@ -376,19 +374,9 @@ class TestRankTest:
     def test_pool_hour_24_is_deficient(self):
         series = synth_generate(400, seed=3, regime="spiky")
         days = np.arange(300, 364)
-        Xy = _design_tensor(series, days)
-        R = np.linalg.qr(Xy, mode="r")
+        X = design_tensor(series)[:, days - FEATURE_LAG, :N_COEFFICIENTS]
+        R = np.linalg.qr(X, mode="r")
         full = _full_rank(R, days.size)
         assert not full[23] and full[:23].all()
         assert np.array_equal(full, _svd_rule(R, days.size))
 
-
-class TestSeriesTensor:
-    def test_dropped_with_its_series(self):
-        series = synth_generate(400, seed=1)
-        forecast_pool(series, 380)
-        key = id(series)
-        assert key in _TENSORS
-        del series
-        gc.collect()
-        assert key not in _TENSORS
