@@ -149,9 +149,6 @@ class BacktestReport:
         the order of `chosen[d].ravel()`."""
         return [(metric, alpha) for metric in METRICS for alpha in self.config.alphas]
 
-    def profit_table(self) -> dict:
-        return dict(zip(self.strategies, bess_trading.profit_per_mwh(self.ledger).tolist()))
-
 
 def _stage(day, stage, fn, *args, **kwargs):
     try:

@@ -30,8 +30,8 @@ Five methods are provided:
   the quantile axis, warm-started from the previous calibration's sqra (or
   today's qra), and ends each quantile with one free Newton step, so the
   fit does not depend on its start.  A quantile the batch leaves unfinished
-  runs the same Newton alone, then an L-BFGS-B finish; ``sqra_fit`` is the
-  grid on one quantile.
+  runs the same Newton again from a centred least-squares start;
+  ``sqra_fit`` is the grid on one quantile.
 
 Empirical quantiles use linear interpolation of order statistics (numpy's
 default, the "type 7" rule), from one sort per sample in ``_quantiles``,
@@ -41,9 +41,8 @@ sorting the 99 values.
 The methods need only numpy and the standard library: sqra's normal CDF is
 a numpy port of Cephes' ``ndtr`` (``_ndtr``), and jsu's normal quantiles come
 from ``statistics.NormalDist``.  scipy (``scipy.optimize`` and
-``scipy.sparse``) is imported by the two rare fallbacks alone, qra's HiGHS
-simplex ``qra_fit`` and sqra's L-BFGS-B finish ``_sqra_polish``, on their
-first call.
+``scipy.sparse``) is imported by the rare fallback alone, qra's HiGHS
+simplex ``qra_fit``, on its first call.
 """
 from __future__ import annotations
 
@@ -426,10 +425,10 @@ def jsu_fit(errors: ErrorSample) -> JsuParams:
 
     The shapes (gamma, delta) have a closed-form box-constrained optimum for
     each location and scale, so `_jsu_newton` runs on (xi, log lambda)
-    alone, first from a quantile start and then, if that fails, from the
-    moments.  A fit is accepted when its projected gradient norm is at most
-    1e-6 relative to the attained negative log-likelihood; it usually ends
-    far below, at `_JSU_GTOL`.
+    alone, from a quantile start: the median, and the scale that matches
+    the interquartile range.  A fit is accepted when its projected gradient
+    norm is at most 1e-6 relative to the attained negative log-likelihood;
+    it usually ends far below, at `_JSU_GTOL`.
     """
     x = errors.residuals
     if np.std(x) == 0.0:
@@ -438,15 +437,10 @@ def jsu_fit(errors: ErrorSample) -> JsuParams:
     lam0 = (q75 - q25) / (2.0 * np.sinh(_ndtri(0.75)))
     if lam0 <= 0:
         lam0 = float(np.std(x))
-    best = None
-    for xi0, lam in ((q50, lam0), (float(np.mean(x)), float(np.std(x)))):
-        theta, nll, pg = _jsu_newton(x, xi0, np.log(lam))
-        if pg <= 1e-6 * max(1.0, abs(nll)):
-            gamma, log_delta, xi, log_lam = theta
-            return JsuParams(gamma, float(np.exp(log_delta)), xi, float(np.exp(log_lam)))
-        if best is None or nll < best[1]:
-            best = theta, nll, pg
-    theta, nll, pg = best
+    theta, nll, pg = _jsu_newton(x, q50, np.log(lam0))
+    if pg <= 1e-6 * max(1.0, abs(nll)):
+        gamma, log_delta, xi, log_lam = theta
+        return JsuParams(gamma, float(np.exp(log_delta)), xi, float(np.exp(log_lam)))
     raise FitError(
         f"JSU fit did not converge: projected gradient norm {pg:.3e} at nll {nll:.6g} "
         f"(theta={theta})"
@@ -863,11 +857,6 @@ def sqra_objective(beta: np.ndarray, X: np.ndarray, y: np.ndarray, q: float, ban
     return float(np.sum(bandwidth * _phi(z) + r * (q - _ndtr(-z))))
 
 
-def sqra_gradient(beta: np.ndarray, X: np.ndarray, y: np.ndarray, q: float, bandwidth: float) -> np.ndarray:
-    r = y - X @ beta
-    return -X.T @ (q - _ndtr(-r / bandwidth))
-
-
 #: Quantiles per block of `sqra_fit_grid`'s batched Newton solve; bounds its
 #: (block, rows) temporaries.
 _SQRA_BLOCK = 25
@@ -979,33 +968,16 @@ def _sqra_newton(X, XX, y, qs, bandwidth, beta, gtol):
     return beta, done
 
 
-def _sqra_polish(X, y, q, bandwidth, beta, gtol):
-    """L-BFGS-B finish of one quantile that Newton left unfinished.  Its
-    point is kept if no worse; the gradient's infinity norm must then meet
-    gtol or 1e-6 * m * max(1, mean|X|), else SolverError."""
-    from scipy import optimize
-
-    m = X.shape[0]
-    f = sqra_objective(beta, X, y, q, bandwidth)
-    res = optimize.minimize(
-        lambda b: sqra_objective(b, X, y, q, bandwidth),
-        beta,
-        jac=lambda b: sqra_gradient(b, X, y, q, bandwidth),
-        method="L-BFGS-B",
-        options={"maxiter": 500, "gtol": gtol / max(m, 1)},
-    )
-    if res.fun <= f:
-        beta, f = res.x, res.fun
-    g = sqra_gradient(beta, X, y, q, bandwidth)
-    # Gradient components scale with the column magnitudes of X; judge
-    # convergence relative to that natural scale.
-    g_scale = m * max(1.0, float(np.abs(X).mean()))
-    if not np.linalg.norm(g, np.inf) <= max(gtol, 1e-6 * g_scale):  # NaN fails
-        raise SolverError(
-            f"smoothed quantile regression did not converge (q={q}, H={bandwidth}): "
-            f"gradient norm {np.linalg.norm(g, np.inf):.3e} at objective {f:.6g}, beta={beta}"
+def _sqra_blocks(X, XX, y, qs, bandwidth, betas, gtol):
+    """`_sqra_newton` on `qs` in blocks of `_SQRA_BLOCK` quantiles, from
+    `betas`, which it overwrites; returns (betas, done)."""
+    done = np.zeros(qs.size, dtype=bool)
+    for lo in range(0, qs.size, _SQRA_BLOCK):
+        block = slice(lo, lo + _SQRA_BLOCK)
+        betas[block], done[block] = _sqra_newton(
+            X, XX, y, qs[block], bandwidth, betas[block], gtol
         )
-    return beta
+    return betas, done
 
 
 def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None):
@@ -1020,9 +992,9 @@ def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None):
     ||g||_inf <= 1e-9 * m * max(1, std(prices)), plus one Newton step from
     there.  That step is free, and it leaves the result at the optimum to
     rounding, so it does not depend on the start.  A quantile whose line
-    search stalls, or that runs out of iterations, runs `_sqra_newton` again
-    on its own from its last iterate; one still unfinished after that goes
-    to `_sqra_polish`, the only path that uses L-BFGS-B.
+    search stalls, or that runs out of iterations, is solved again by the
+    same Newton from least squares with its intercept moved to the
+    q-quantile of its residuals; one still unfinished raises SolverError.
     """
     if not 0 < bandwidth < np.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
@@ -1032,17 +1004,24 @@ def sqra_fit_grid(pool, prices, bandwidth, qs=QUANTILE_GRID, starts=None):
         betas = np.tile(np.linalg.lstsq(X, prices, rcond=None)[0], (qs.size, 1))
     gtol = _SQRA_GTOL_SCALE * m * max(1.0, float(np.std(prices)))
     XX = (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
-    done = np.zeros(qs.size, dtype=bool)
-    for lo in range(0, qs.size, _SQRA_BLOCK):
-        block = slice(lo, lo + _SQRA_BLOCK)
-        betas[block], done[block] = _sqra_newton(
-            X, XX, prices, qs[block], bandwidth, betas[block], gtol
+    betas, done = _sqra_blocks(X, XX, prices, qs, bandwidth, betas, gtol)
+    redo = np.flatnonzero(~done)
+    if redo.size:
+        # A start that leaves every row on one side of its hyperplane (as a
+        # warm start can after a price jump) has Hessian weights phi(z)/H of
+        # about 0, and Newton's ridge-sized steps stall; the centred start
+        # has a share q of the rows below it.
+        ls = np.linalg.lstsq(X, prices, rcond=None)[0]
+        centred = np.tile(ls, (redo.size, 1))
+        centred[:, 0] += _quantiles(prices - X @ ls, qs[redo])
+        betas[redo], done[redo] = _sqra_blocks(X, XX, prices, qs[redo], bandwidth, centred, gtol)
+    if not done.all():
+        i = np.flatnonzero(~done)[0]
+        f, g, _ = _sqra_pass(betas[i:i + 1], X, prices, qs[i:i + 1], bandwidth)
+        raise SolverError(
+            f"smoothed quantile regression did not converge (q={qs[i]}, H={bandwidth}): "
+            f"gradient norm {np.abs(g).max():.3e} at objective {f[0]:.6g}, beta={betas[i]}"
         )
-    for i in np.flatnonzero(~done):
-        one = slice(i, i + 1)
-        betas[one], done[one] = _sqra_newton(X, XX, prices, qs[one], bandwidth, betas[one], gtol)
-        if not done[i]:
-            betas[i] = _sqra_polish(X, prices, qs[i], bandwidth, betas[i], gtol)
     return betas
 
 

@@ -119,6 +119,14 @@ def _smoothed_check_loss(beta, X, y, q: float, bandwidth: float):
     return loss, -X.T @ slope, X.T @ ((density / bandwidth)[:, None] * X)
 
 
+def sqra_gradient(beta, X, y, q: float, bandwidth: float) -> np.ndarray:
+    """Gradient in beta of the smoothed check loss sum_i l(y_i - x_i'beta)
+    at level q: -X' (q - Phi(-r/H)), with r = y - X beta and scipy's normal
+    CDF."""
+    r = y - X @ beta
+    return -X.T @ (q - ndtr(-r / bandwidth))
+
+
 def sqra_pass(betas, X, y, qs, bandwidth: float):
     """Per row k of `betas`, at level qs[k]: the smoothed check loss sum_i
     l(r_i), its gradient in beta and the Hessian weights l''(r_i) = phi(r_i /

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from oracles import jsu_sample, pinball_sum
+from oracles import jsu_sample, pinball_sum, sqra_gradient
 from recorder import recorded_forecasts
 from quantbess.backtest_engine import BacktestConfig, run_backtest, write_report
 from quantbess.bess_trading import (
@@ -40,7 +40,6 @@ from quantbess.prob_models import (
     qra_fit,
     register_method,
     sqra_fit,
-    sqra_gradient,
     sqra_objective,
 )
 

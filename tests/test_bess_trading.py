@@ -463,8 +463,9 @@ class TestLedger:
         config = replace(BacktestConfig(), alphas=DEFAULT_ALPHAS[:n_alphas])
         report = BacktestReport(config=config, n_days=0, ledger=ledger, store=None,
                                 chosen=None, averages=None)
-        assert list(report.profit_table().values()) == expect
-        assert list(report.profit_table()) == [(m, a) for m in METRICS for a in config.alphas]
+        table = dict(zip(report.strategies, profit_per_mwh(report.ledger).tolist()))
+        assert list(table.values()) == expect
+        assert list(table) == [(m, a) for m in METRICS for a in config.alphas]
 
     def test_export(self, tmp_path):
         ledger = stack_ledgers([self._round_trip_day()])

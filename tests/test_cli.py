@@ -212,16 +212,24 @@ class TestBacktest:
 
     def test_runs_load_no_scipy_openssl_or_numpy_ma(self, dataset, tmp_path):
         # the run path needs numpy and the standard library alone: scipy is
-        # imported only by the rare fallbacks, qra's HiGHS simplex and sqra's
-        # L-BFGS-B finish; the digests use CPython's own sha256, not
-        # hashlib's OpenSSL (`_hashlib`); and the quantiles never reach
-        # np.unique's lazy import of numpy.ma
+        # imported only by the rare fallback, qra's HiGHS simplex; the
+        # digests use CPython's own sha256, not hashlib's OpenSSL
+        # (`_hashlib`); and the quantiles never reach np.unique's lazy import
+        # of numpy.ma.  The spiky sqra run restarts stalled Newton solves.
         cfg = tmp_path / "five.cfg"
         cfg.write_text(SMALL_CONFIG.replace("= hs, cp", "= hs, cp, jsu, qra, sqra"))
+        spiky_cfg = tmp_path / "spiky.cfg"
+        spiky_cfg.write_text("point_window = 56\nprob_window = 5\nmetric_window = 1\n"
+                             "pool_window_lengths = 30, 56\n")
+        spiky = str(tmp_path / "spiky.csv")
+        # numpy.random, which only synth uses, loads `_hashlib` through `secrets`
+        assert main(["synth", spiky, "--days", "160", "--seed", "1", "--regime", "spiky"]) == EXIT_OK
         report = str(tmp_path / "report")
         runs = [["backtest", "--data", str(dataset), "--config", str(cfg), "--output", report],
                 ["report", report],
-                ["single", "--data", str(dataset), "--config", str(cfg), "--model", "benchmark"]]
+                ["single", "--data", str(dataset), "--config", str(cfg), "--model", "benchmark"],
+                ["single", "--data", spiky, "--config", str(spiky_cfg), "--model", "sqra",
+                 "--alpha", "0.8"]]
         script = (
             "import json, sys\n"
             "from quantbess import cli\n"

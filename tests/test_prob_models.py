@@ -14,11 +14,12 @@ from oracles import (
     jsu_projected_gradient,
     jsu_sample,
     pinball_sum,
+    sqra_gradient,
     sqra_newton,
     sqra_pass,
 )
 from quantbess import prob_models
-from quantbess.backtest_engine import BacktestConfig, run_backtest
+from quantbess.backtest_engine import BacktestConfig, run_backtest, run_single_model
 from quantbess.errors import FitError, InsufficientDataError, QuantbessError, SolverError
 from quantbess.market_data import REGIMES, synth_generate
 from quantbess.prob_models import (
@@ -44,7 +45,6 @@ from quantbess.prob_models import (
     register_method,
     sqra_fit,
     sqra_fit_grid,
-    sqra_gradient,
     sqra_objective,
 )
 
@@ -568,6 +568,7 @@ class TestSqra:
         gaps = []
         for H in (1.0, 0.1, 0.01, 0.001):
             beta = sqra_fit(pool, y, q, H * scale)
+            assert np.abs(sqra_gradient(beta, X, y, q, H * scale)).max() <= _gtol(y)
             gaps.append(pinball_sum(beta, X, y, q) - exact)
         assert all(g >= -1e-9 for g in gaps)
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -684,33 +685,65 @@ class TestSqraGrid:
             radius = np.sqrt(X.shape[1]) * gtol * np.linalg.norm(np.linalg.inv(hess), 2)
             assert np.linalg.norm(beta - sqra_newton(pool, y, q, H)) <= radius
 
-    @pytest.mark.parametrize("polish", [False, True])
-    def test_unfinished_quantiles_are_finished(self, monkeypatch, polish):
-        # The batch reports every quantile unfinished; each then runs the
-        # same Newton on its own from the batch's last iterate.  With
-        # `polish`, that reports unfinished too, and L-BFGS-B finishes it.
+    def test_unfinished_quantiles_are_restarted(self, monkeypatch):
+        # The batch reports every quantile unfinished; the same Newton then
+        # solves them again from the centred least-squares start.
         pool, y = _cycle_window()
         H = default_bandwidth(y - pool.mean(axis=1))
         qs = QUANTILE_GRID[::7]
         X = np.column_stack([np.ones(y.size), pool])
         expected = sqra_fit_grid(pool, y, H, qs=qs)
         newton, calls = prob_models._sqra_newton, []
-        finish, polished = prob_models._sqra_polish, []
 
         def unfinished(*args):
             betas, done = newton(*args)
             calls.append(len(done))
-            return betas, done & (len(calls) > 1 and not polish)
+            return betas, done & (len(calls) > 1)
 
         monkeypatch.setattr(prob_models, "_sqra_newton", unfinished)
-        monkeypatch.setattr(prob_models, "_sqra_polish",
-                            lambda *args: polished.append(1) or finish(*args))
         betas = sqra_fit_grid(pool, y, H, qs=qs)
-        assert calls == [qs.size] + [1] * qs.size
-        assert len(polished) == (qs.size if polish else 0)
+        assert calls == [qs.size, qs.size]
         for q, beta, fit in zip(qs, betas, expected):
             assert np.abs(sqra_gradient(beta, X, y, q, H)).max() <= _gtol(y)
             assert np.abs(beta - fit).max() <= 1e-12 * np.abs(fit).max()
+
+    def test_unfinished_restart_raises(self, monkeypatch):
+        pool, y = _cycle_window()
+        H = default_bandwidth(y - pool.mean(axis=1))
+        newton = prob_models._sqra_newton
+
+        def unfinished(*args):
+            betas, done = newton(*args)
+            return betas, np.zeros_like(done)
+
+        monkeypatch.setattr(prob_models, "_sqra_newton", unfinished)
+        with pytest.raises(SolverError, match=r"\(q=0\.3, H=.*gradient norm"):
+            sqra_fit_grid(pool, y, H, qs=[0.3, 0.6])
+
+    def test_stalled_warm_start_is_finished(self, monkeypatch):
+        # A price jump leaves a 5-day window on one side of the previous
+        # calibration's hyperplanes, the warm start, where Newton stalls;
+        # this run once aborted at day 122 in sqra's calibration.
+        series = synth_generate(160, seed=1, regime="spiky")
+        config = BacktestConfig(point_window=56, prob_window=5, metric_window=1,
+                                pool_window_lengths=(30, 56))
+        fit, newton = prob_models.sqra_fit_grid, prob_models._sqra_newton
+        fits, solves = [], []
+
+        def checked(pool, prices, bandwidth, **kwargs):
+            betas = fit(pool, prices, bandwidth, **kwargs)
+            X = np.column_stack([np.ones(prices.size), pool])
+            fits.append(max(np.abs(sqra_gradient(beta, X, prices, q, bandwidth)).max()
+                            / _gtol(prices) for q, beta in zip(QUANTILE_GRID, betas)))
+            return betas
+
+        monkeypatch.setattr(prob_models, "sqra_fit_grid", checked)
+        monkeypatch.setattr(prob_models, "_sqra_newton",
+                            lambda *args: solves.append(1) or newton(*args))
+        run_single_model(series, config, "sqra", 0.8)
+        blocks = -(-QUANTILE_GRID.size // prob_models._SQRA_BLOCK)
+        assert len(solves) > blocks * len(fits)     # some quantiles were restarted
+        assert max(fits) <= 1.0
 
     def test_start_independence(self):
         # starts from qra, from the previous calibration's sqra (the window
