@@ -12,7 +12,8 @@ score store: it forecasts and scores from the first forecast day and selects
 a model per metric and alpha each trading day.  `run_single_model` gives it
 none: it forecasts from the first trading day, and an empty registry (the
 "benchmark" model) trades the price taker.  Point forecasts start at the
-first day the first forecast day reads, and cover the whole pool only when a
+first day the first forecast day reads, in one (day, variant, hour) array of
+which the primary forecast is a view; it holds the whole pool only when a
 method outside `prob_models.OFFSET_METHODS` reads it.  The loop owns the
 series' point-model design tensor: it builds it and frees it on return.
 
@@ -161,13 +162,13 @@ def _calibrate(series, config, registry, d, primary, pool, previous) -> dict:
     """Each method of `registry`, in order, calibrated for day d from
     `previous`, the previous day's contexts, and the forecasts of the
     `prob_window` days before it: `primary` (days, 24) and `pool`
-    (days, variants, 24), None when no method reads it."""
+    (days, variants, 24)."""
     window = slice(d - config.prob_window, d)
     contexts = {}
     inputs = CalibrationInputs(
         errors=ErrorSample((series.prices[window] - primary).reshape(-1)),
         # F-ordered (hours, variants): on a C-ordered copy sqra's fit moves in the last bits
-        pool=None if pool is None else pool.transpose(1, 0, 2).reshape(pool.shape[1], -1).T,
+        pool=pool.transpose(1, 0, 2).reshape(pool.shape[1], -1).T,
         prices=series.prices[window].reshape(-1),
         contexts=contexts,
         previous=previous,
@@ -188,14 +189,14 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
     The ledger, selections and averages are allocated once with a row per
     trading day; each day's settlement and selection is copied into its row
     and dropped, so nothing per day outlives the day.  The point forecasts
-    fill arrays with a row per day from the loop's first day.
+    fill one array with a row per day from the loop's first day.
     """
     first = config.first_forecast_day if store is not None else config.first_trading_day
     start = first - config.prob_window if registry else first
     reads_pool = not set(registry) <= set(prob_models.OFFSET_METHODS)
-    solve = None if reads_pool else (config.point_window,)
-    primary = np.empty((series.n_days - start, 24))
-    pool = np.empty((len(primary), len(config.pool_window_lengths), 24)) if reads_pool else None
+    variants = tuple(config.pool_window_lengths) if reads_pool else (config.point_window,)
+    pool = np.empty((series.n_days - start, len(variants), 24))
+    primary = pool[:, variants.index(config.point_window)]
     contexts = {}
     # with a store, strategies run metric-major, alpha-minor, as chosen.ravel() does
     alphas = tuple(config.alphas) * (len(METRICS) if store is not None else 1)
@@ -213,26 +214,19 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
     tensor = point_model.design_tensor(series)
 
     for d in range(start, series.n_days):
-        forecast, failures = _stage(
-            d, "point-pool", point_model.forecast_pool,
-            tensor, d, config.pool_window_lengths, solve,
-        )
-        if failures:
-            raise BacktestStageError(d, "point-pool", f"pool variants failed: {sorted(failures)}")
         i = d - start
-        primary[i] = forecast.variant(config.point_window)
-        if pool is not None:
-            pool[i] = forecast.values
+        pool[i] = _stage(d, "point-pool", point_model.forecast_pool,
+                         tensor, d, config.pool_window_lengths, variants)[0].values
         if d < first:
             continue
 
         if registry:
             window = slice(i - config.prob_window, i)
             contexts = _calibrate(series, config, registry, d, primary[window],
-                                  None if pool is None else pool[window], contexts)
+                                  pool[window], contexts)
             matrices = [
                 _stage(d, f"forecast:{tag}", prob_models.quantile_matrix,
-                       contexts[tag], primary[i], None if pool is None else pool[i])
+                       contexts[tag], primary[i], pool[i])
                 for tag in registry
             ]
             hours = [bess_trading.choose_hours(qf[:, MEDIAN_INDEX]) for qf in matrices]

@@ -104,8 +104,7 @@ def choose_hours(median_forecast) -> tuple[int, int]:
     """The trading hours (h1, h2), numbered 1..24: h1 is the earliest argmin
     and h2 the earliest argmax of the median forecast.
 
-    On a flat forecast (argmin == argmax) h2 moves to the best hour distinct
-    from h1.
+    On a constant forecast, where the two coincide, h1 is 1 and h2 is 2.
     """
     values = np.asarray(median_forecast, dtype=float)
     if values.shape != (24,) or not np.isfinite(values).all():
@@ -113,8 +112,9 @@ def choose_hours(median_forecast) -> tuple[int, int]:
     h1 = int(np.argmin(values)) + 1
     h2 = int(np.argmax(values)) + 1
     if h1 == h2:
-        rest = [h for h in range(1, 25) if h != h1]
-        h2 = max(rest, key=lambda h: (values[h - 1], -h))
+        # the earliest argmin and argmax meet only when min == max: every
+        # hour ties, h1 is 1 and the earliest other hour is 2
+        h2 = 2
     return h1, h2
 
 

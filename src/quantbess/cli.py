@@ -61,7 +61,7 @@ def read_config_file(path) -> dict:
     values, first_line = {}, {}
     problems = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None

@@ -81,7 +81,7 @@ def ingest_csv(path, schema=None, delimiter: str = ",", min_days: int = 0) -> Ma
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     stamps, prices, loads, bad_row = [], [], [], None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             header = next(reader, None)
             if header is None:

@@ -27,9 +27,10 @@ open get an SVD.  Full-rank hours are solved from R; rank-deficient ones
 take `calibrate`'s column-proportional ridge.  Hour 24 is always rank
 deficient, since its y_lag1 and y_eod are the same price.
 
-A caller that reads only some variants names them in `solve`.  The QR chain
-still runs over every window, so each solved variant is bitwise the one the
-full pool gives; only the rank test, the solve and the forecasts shrink.
+A caller that reads only some variants names them in `solve`, and gets
+each of them or an error: there are no partial pools.  The QR chain still
+runs over every window, so each solved variant is bitwise the one the full
+pool gives; only the rank test, the solve and the forecasts shrink.
 """
 from __future__ import annotations
 
@@ -72,10 +73,6 @@ class PointForecastSet:
         if not np.isfinite(values).all():
             raise ValueError("forecasts must be finite")
         object.__setattr__(self, "values", values)
-
-    def variant(self, window_length: int) -> np.ndarray:
-        idx = self.window_lengths.index(window_length)
-        return self.values[idx]
 
 
 def design_tensor(series: MarketSeries) -> np.ndarray:
@@ -136,13 +133,15 @@ def forecast_pool(tensor: np.ndarray, d: int, window_lengths=DEFAULT_POOL_WINDOW
     """Point forecasts for day d from the model calibrated on each window length.
 
     `tensor` is the series' `design_tensor`.  `solve` names the window
-    lengths to fit, a subset of `window_lengths` (default: all of them); the
-    result and the failures cover those alone.  Returns (PointForecastSet,
-    failures) where failures maps a dropped window length to the error that
-    removed it.  A window of length L holds days d - L .. d - 1.  Each
-    window's forecasts equal day d's regressors times `calibrate`'s
-    coefficients up to rounding; see the module docstring for how the 24
-    hourly fits of all windows are solved together.
+    lengths to fit, a subset of `window_lengths` (default: all of them).
+    Returns (PointForecastSet, {}) with a row per solved window in
+    `window_lengths`' order; the empty dict stays only while the benchmark's
+    tracer reads it.  A solved window with fewer than MIN_CALIBRATION_DAYS
+    usable days raises InsufficientDataError, a failed fit CalibrationError
+    naming the window and hour.  A window of length L holds days d - L ..
+    d - 1.  Each window's forecasts equal day d's regressors times
+    `calibrate`'s coefficients up to rounding; see the module docstring for
+    how the 24 hourly fits of all windows are solved together.
     """
     window_lengths = tuple(window_lengths)
     if not window_lengths:
@@ -155,52 +154,45 @@ def forecast_pool(tensor: np.ndarray, d: int, window_lengths=DEFAULT_POOL_WINDOW
             f"day {d} precedes the longest calibration window ({max(window_lengths)}) "
             f"or the one-week lag ({FEATURE_LAG})"
         )
+    if d >= tensor.shape[1] + FEATURE_LAG:
+        raise InsufficientDataError(
+            f"day {d} is past the series' last day ({tensor.shape[1] + FEATURE_LAG - 1})"
+        )
     first = max(d - max(window_lengths), FEATURE_LAG)
     Xy = tensor[:, first - FEATURE_LAG : d - FEATURE_LAG]
     n_rows = Xy.shape[1]
 
-    failures, starts = {}, {}
-    for i, length in enumerate(window_lengths):
-        start = max(d - length, FEATURE_LAG) - first
-        if n_rows - start >= MIN_CALIBRATION_DAYS:
-            starts[i] = start
-        elif length in solve:
-            failures[length] = InsufficientDataError(
-                f"{n_rows - start} usable days in window; need >= {MIN_CALIBRATION_DAYS}"
+    starts = [max(d - length, FEATURE_LAG) - first for length in window_lengths]
+    solved = [(length, start) for length, start in zip(window_lengths, starts) if length in solve]
+    for length, start in solved:
+        if n_rows - start < MIN_CALIBRATION_DAYS:
+            raise InsufficientDataError(
+                f"window {length}: {n_rows - start} usable days; need >= {MIN_CALIBRATION_DAYS}"
             )
-    # the QR chain runs over every window, so a solved variant does not
-    # depend on which others are solved
-    factors = _r_factors(Xy, set(starts.values()))
-    starts = {i: s for i, s in starts.items() if window_lengths[i] in solve}
-    if not starts:
-        raise CalibrationError(f"day {d}: every pool variant failed: {failures}")
+    # the QR chain runs over every usable window, so a solved variant does
+    # not depend on which others are solved
+    factors = _r_factors(Xy, {s for s in starts if n_rows - s >= MIN_CALIBRATION_DAYS})
 
     n = N_COEFFICIENTS
-    R = np.stack([factors[s] for s in starts.values()])  # (variants, 24, 15, 15)
-    rows = n_rows - np.fromiter(starts.values(), dtype=int)
+    R = np.stack([factors[start] for _, start in solved])  # (variants, 24, 15, 15)
+    rows = n_rows - np.array([start for _, start in solved])
     full = _full_rank(R[..., :n, :n], rows[:, None])
     beta = np.empty(R.shape[:2] + (n,))
     beta[full] = np.linalg.solve(R[full][:, :n, :n], R[full][:, :n, n:])[..., 0]
-
-    kept, fitted = [], []
-    for j, (i, start) in enumerate(starts.items()):
-        try:
-            deficient = np.flatnonzero(~full[j])
-            if deficient.size:
+    for j, (length, start) in enumerate(solved):
+        deficient = np.flatnonzero(~full[j])
+        if deficient.size:
+            try:
                 beta[j, deficient] = _ridge(Xy[deficient, start:], deficient + 1)
-            finite = np.isfinite(beta[j]).all(axis=1)
-            if not finite.all():
-                raise CalibrationError(f"hour {np.argmin(finite) + 1}: non-finite coefficients")
-        except CalibrationError as exc:
-            failures[window_lengths[i]] = exc
-            continue
-        kept.append(window_lengths[i])
-        fitted.append(j)
-    if not kept:
-        raise CalibrationError(f"day {d}: every pool variant failed: {failures}")
+            except CalibrationError as exc:
+                raise CalibrationError(f"window {length}: {exc}") from exc
+    finite = np.isfinite(beta).all(axis=2)
+    if not finite.all():
+        j, h = np.argwhere(~finite)[0]
+        raise CalibrationError(f"window {solved[j][0]}, hour {h + 1}: non-finite coefficients")
     x_day = tensor[:, d - FEATURE_LAG, :n]
-    values = np.einsum("vhk,hk->vh", beta[fitted], x_day)
-    return PointForecastSet(day=d, window_lengths=tuple(kept), values=values), failures
+    values = np.einsum("vhk,hk->vh", beta, x_day)
+    return PointForecastSet(day=d, window_lengths=tuple(L for L, _ in solved), values=values), {}
 
 
 def _full_rank(R: np.ndarray, rows) -> np.ndarray:

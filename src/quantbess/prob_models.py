@@ -1041,8 +1041,8 @@ class CalibrationInputs:
     """Everything a method may need from the probabilistic window."""
 
     errors: ErrorSample | None = None
-    pool: np.ndarray | None = None          # (m, n_variants) history; None when
-                                            # every method is in OFFSET_METHODS
+    pool: np.ndarray | None = None          # (m, n_variants) history; the primary
+                                            # alone if all methods are OFFSET_METHODS
     prices: np.ndarray | None = None        # (m,) realized prices
     contexts: dict = field(default_factory=dict)  # tags calibrated earlier today
     # tag -> context of the previous calibration, a warm start for the same
@@ -1102,7 +1102,7 @@ def register_method(tag: str, calibrator) -> None:
     """Add a custom probabilistic method usable in a backtest registry.
 
     A tag in OFFSET_METHODS stays there: a run whose registry holds only
-    such tags passes their calibrators no pool.
+    such tags passes their calibrators a pool of the primary variant alone.
     """
     _CALIBRATORS[tag] = calibrator
 

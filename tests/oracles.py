@@ -287,7 +287,7 @@ def ingest_csv_by_rows(path, schema=None, delimiter: str = ",", min_days: int = 
     placed one row at a time."""
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     rows = []  # (datetime, price, load, line_no)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None:
             raise ParseError(1, "empty file")

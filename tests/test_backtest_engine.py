@@ -36,7 +36,7 @@ from quantbess.bess_trading import (
     profit_per_mwh,
     settle,
 )
-from quantbess.errors import BacktestStageError, ConfigError
+from quantbess.errors import BacktestStageError, CalibrationError, ConfigError
 from quantbess.eval_metrics import DEFAULT_ALPHAS, METRICS
 from quantbess.market_data import synth_generate
 from quantbess.point_model import design_tensor, forecast_pool
@@ -180,6 +180,17 @@ class TestRunBacktest:
         assert (err.value.day, err.value.stage) == (config.first_forecast_day, f"forecast:{tag}")
         assert f"model {tag!r} produced quantiles of shape (24, 98)" in str(err.value)
 
+    def test_failed_pool_fit_fails_at_point_pool(self, small_series, small_config, monkeypatch):
+        def failing_ridge(Xy, hours):
+            raise CalibrationError("ridge failed")
+
+        # hour 24 is always rank deficient, so the first pool day takes the ridge
+        monkeypatch.setattr(point_model, "_ridge", failing_ridge)
+        with pytest.raises(BacktestStageError) as err:
+            run_backtest(small_series, small_config)
+        assert (err.value.day, err.value.stage) == (small_config.first_point_day, "point-pool")
+        assert "ridge failed" in str(err.value)
+
     def test_golden_profit(self, small_report):
         # Regression pin: frozen after the first verified run of this config.
         table = dict(zip(small_report.strategies, profit_per_mwh(small_report.ledger).tolist()))
@@ -294,7 +305,8 @@ def _full_schedule_single(series, config, model):
     tensor = design_tensor(series)
     for d in range(config.first_point_day, series.n_days):
         forecasts, _ = forecast_pool(tensor, d, config.pool_window_lengths)
-        primary[d], pool[d] = forecasts.variant(config.point_window), forecasts.values
+        pool[d] = forecasts.values
+        primary[d] = pool[d][config.pool_window_lengths.index(config.point_window)]
         if d < config.first_trading_day:
             continue
         if model == "benchmark":

@@ -92,6 +92,13 @@ class TestConfigParsing:
         # the repr also tells 30 from 30.0 and a float from a numpy float
         assert repr(value) == repr(default)
 
+    def test_byte_order_mark(self, config_file, tmp_path):
+        # Excel's "CSV UTF-8" and Notepad start a file with U+FEFF
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+        assert read_config_file(path) == read_config_file(config_file)
+        assert build_config(read_config_file(path)) == build_config(read_config_file(config_file))
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "noequals.cfg"
         path.write_text("just some text\n")
@@ -123,6 +130,21 @@ class TestSynthAndIngest:
         assert main(["ingest", str(out1), str(out2)]) == EXIT_OK
         assert out1.read_text() == out2.read_text()
         assert "90 days" in capsys.readouterr().out
+
+    def test_ingest_with_byte_order_mark(self, dataset, config_file, tmp_path, capsys):
+        bom = b"\xef\xbb\xbf"
+        data, config = tmp_path / "bom.csv", tmp_path / "bom.cfg"
+        data.write_bytes(bom + dataset.read_bytes())
+        config.write_bytes(bom + config_file.read_bytes())
+        out = tmp_path / "out.csv"
+        assert main(["ingest", str(data), str(out)]) == EXIT_OK
+        assert out.read_bytes() == dataset.read_bytes()
+        assert main(["single", "--data", str(data), "--config", str(config),
+                     "--model", "benchmark"]) == EXIT_OK
+        bom_run = capsys.readouterr().out.splitlines()[-1]
+        assert main(["single", "--data", str(dataset), "--config", str(config_file),
+                     "--model", "benchmark"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == bom_run
 
     def test_corrupt_file_reports_line(self, tmp_path, capsys):
         path = tmp_path / "corrupt.csv"

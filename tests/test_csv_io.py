@@ -134,6 +134,14 @@ class TestIngestMatchesOracle:
         path.write_text(text, encoding="utf-8")
         assert _outcome(ingest_csv, path) == _outcome(ingest_csv_by_rows, path)
 
+    def test_byte_order_mark(self, tmp_path):
+        # a UTF-8 byte-order mark before the header is not part of its first name
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        export_csv(synth_generate(3, seed=1), plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert _outcome(ingest_csv, bom) == _outcome(ingest_csv, plain)
+        assert _outcome(ingest_csv, bom) == _outcome(ingest_csv_by_rows, bom)
+
     def test_first_bad_row_in_file_order(self, tmp_path):
         # a non-finite price before a malformed timestamp is the one reported
         rows = [f"2021-01-01T{h:02d}:00:00,{h},1" for h in range(24)]

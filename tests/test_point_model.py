@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import regressors
+from quantbess import point_model
 from quantbess.errors import CalibrationError, InsufficientDataError
 from quantbess.market_data import MarketSeries, synth_generate
 from quantbess.point_model import (
@@ -201,13 +202,20 @@ class TestPredict:
             assert np.allclose(fitted, c, atol=1e-8)
 
 
+def _nan_ridge(Xy, hours):
+    return np.full((len(hours), N_COEFFICIENTS), np.nan)
+
+
+def _failing_ridge(Xy, hours):
+    raise CalibrationError("ridge failed")
+
+
 class TestForecastPool:
     def test_single_variant_shape(self):
         series = synth_generate(400, seed=5)
         pool, failures = forecast_pool(design_tensor(series), 380, window_lengths=[364])
         assert pool.values.shape == (1, 24)
-        assert failures == {}
-        assert np.array_equal(pool.variant(364), pool.values[0])
+        assert failures == {} and pool.window_lengths == (364,)
 
     def test_zero_noise_variants_agree(self):
         series = _recursive_series(380, _TRUE_BETA, seed=2)
@@ -225,32 +233,44 @@ class TestForecastPool:
         with pytest.raises(InsufficientDataError):
             forecast_pool(design_tensor(series), 90, window_lengths=[364])
 
+    def test_day_past_the_series(self):
+        # day 120 has no regressors in a 120-day series (days 0..119)
+        tensor = design_tensor(synth_generate(120, seed=1))
+        with pytest.raises(InsufficientDataError, match=r"past the series' last day \(119\)"):
+            forecast_pool(tensor, 120, (30, 56))
+        pool, _ = forecast_pool(tensor, 119, (30, 56))
+        assert pool.day == 119
+
+    @pytest.mark.parametrize("ridge, match", [
+        (_nan_ridge, "window 30, hour 24: non-finite coefficients"),
+        (_failing_ridge, "window 30: ridge failed"),
+    ], ids=["non-finite", "raises"])
+    def test_failed_fit_raises(self, monkeypatch, ridge, match):
+        # hour 24 is always rank deficient, so every window takes the ridge
+        monkeypatch.setattr(point_model, "_ridge", ridge)
+        with pytest.raises(CalibrationError, match=match):
+            forecast_pool(design_tensor(synth_generate(120, seed=1)), 100, (30, 56))
+
     def test_default_pool(self):
         assert DEFAULT_POOL_WINDOWS == (56, 84, 112, 182, 364)
 
 
 def _per_hour_pool(series, d, window_lengths):
     """forecast_pool's reference: `calibrate` per window and hour, applied to
-    day d's regressors."""
-    rows, kept, failures = [], [], {}
+    day d's regressors; one row per window."""
+    rows = []
     for length in window_lengths:
-        try:
-            betas = [calibrate(series, np.arange(d - length, d), h) for h in range(1, 25)]
-        except (CalibrationError, InsufficientDataError) as exc:
-            failures[length] = exc
-            continue
+        betas = [calibrate(series, np.arange(d - length, d), h) for h in range(1, 25)]
         rows.append(np.array([regressors(series, d, h) @ betas[h - 1] for h in range(1, 25)]))
-        kept.append(length)
-    return tuple(kept), rows, failures
+    return rows
 
 
-def _assert_pool_matches_per_hour(series, d, window_lengths):
-    kept, rows, failures = _per_hour_pool(series, d, window_lengths)
-    pool, got_failures = forecast_pool(design_tensor(series), d, window_lengths)
-    assert pool.window_lengths == kept
-    assert {k: type(v) for k, v in got_failures.items()} == {
-        k: type(v) for k, v in failures.items()
-    }
+def _assert_pool_matches_per_hour(series, d, window_lengths, solve=None):
+    solve = window_lengths if solve is None else solve
+    rows = _per_hour_pool(series, d, solve)
+    pool, failures = forecast_pool(design_tensor(series), d, window_lengths, solve)
+    assert pool.window_lengths == tuple(solve) and failures == {}
+    assert len(pool.values) == len(rows)
     for got, want in zip(pool.values, rows):
         # The stacked QR and lstsq's SVD round differently; 1e-10 of the
         # day's forecast scale allows for designs with condition ~1e7.
@@ -277,21 +297,29 @@ class TestForecastPoolMatchesPerHourFits:
         series = _recursive_series(380, _TRUE_BETA, seed=3)
         _assert_pool_matches_per_hour(series, 375, (56, 112, 364))
 
-    def test_short_window_dropped_as_in_per_hour_fits(self):
-        # Window 25 has 25 usable days; window 45 starts at day 0 and keeps 38.
+    # Window 25 has 25 usable days; window 45 starts at day 0 and keeps 38.
+    # At day 36 lag trimming leaves 29 usable days in windows 36 and 30.
+    @pytest.mark.parametrize("d, window_lengths, solve, short", [
+        (45, (45, 25), None, 25),
+        (45, (45, 25), (25,), 25),
+        (36, (36, 30), None, 36),
+    ])
+    def test_solved_short_window_raises(self, d, window_lengths, solve, short):
         series = synth_generate(60, seed=2)
-        pool, failures = forecast_pool(design_tensor(series), 45, (45, 25))
-        assert pool.window_lengths == (45,)
-        assert isinstance(failures[25], InsufficientDataError)
-        _assert_pool_matches_per_hour(series, 45, (45, 25))
+        with pytest.raises(InsufficientDataError, match=f"window {short}: "):
+            forecast_pool(design_tensor(series), d, window_lengths, solve)
+        with pytest.raises(InsufficientDataError):
+            calibrate(series, np.arange(d - short, d), 1)
 
-    def test_every_window_failing_raises(self):
-        # Lag trimming leaves 29 usable days in each window.
+    def test_unsolved_short_window_skipped(self):
+        # the short window stays out of the QR chain: the pool is bitwise the
+        # one without it
         series = synth_generate(60, seed=2)
-        kept, _, failures = _per_hour_pool(series, 36, (36, 30))
-        assert kept == () and set(failures) == {36, 30}
-        with pytest.raises(CalibrationError, match="every pool variant failed"):
-            forecast_pool(design_tensor(series), 36, (36, 30))
+        pool, _ = forecast_pool(design_tensor(series), 45, (45, 25), solve=(45,))
+        alone, _ = forecast_pool(design_tensor(series), 45, (45,))
+        assert pool.window_lengths == (45,)
+        assert np.array_equal(pool.values, alone.values)
+        _assert_pool_matches_per_hour(series, 45, (45, 25), solve=(45,))
 
 
 class TestPartialPool:
@@ -312,22 +340,14 @@ class TestPartialPool:
         assert failures == {}
         assert part.window_lengths == tuple(w for w in window_lengths if w in solve)
         for length, values in zip(part.window_lengths, part.values):
-            assert np.array_equal(values, full.variant(length)), length
+            assert np.array_equal(values, full.values[window_lengths.index(length)]), length
 
     def test_primary_only(self):
         series = synth_generate(400, seed=4, regime="spiky")
         full, _ = forecast_pool(design_tensor(series), 380)
         part, _ = forecast_pool(design_tensor(series), 380, solve=(364,))
         assert part.window_lengths == (364,)
-        assert np.array_equal(part.values[0], full.variant(364))
-
-    def test_failures_cover_solved_variants(self):
-        # Window 25 keeps 25 usable days and fails only when it is solved.
-        series = synth_generate(60, seed=2)
-        pool, failures = forecast_pool(design_tensor(series), 45, (45, 25), solve=(45,))
-        assert pool.window_lengths == (45,) and failures == {}
-        with pytest.raises(CalibrationError, match="every pool variant failed"):
-            forecast_pool(design_tensor(series), 45, (45, 25), solve=(25,))
+        assert np.array_equal(part.values[0], full.values[DEFAULT_POOL_WINDOWS.index(364)])
 
     @pytest.mark.parametrize("solve", [(), (84,)])
     def test_solve_outside_window_lengths(self, solve):
