@@ -15,7 +15,9 @@ none: it forecasts from the first trading day, and an empty registry (the
 first day the first forecast day reads, in one (day, variant, hour) array of
 which the primary forecast is a view; it holds the whole pool only when a
 method outside `prob_models.OFFSET_METHODS` reads it.  The loop owns the
-series' point-model design tensor: it builds it and frees it on return.
+series' point-model design tensor and the pool's QR cores of the current
+week (`point_model.forecast_pool`'s `cores`): it builds both and frees them
+on return.
 
 Every forecast day d recalibrates each method on days d - prob_window ..
 d - 1, warm-started from the previous day's contexts (qra's betas, sqra's
@@ -212,11 +214,12 @@ def _day_loop(series: MarketSeries, config: BacktestConfig, registry: tuple, sto
 
     # after the arrays that outlive the loop, so the heap space it frees is at the top
     tensor = point_model.design_tensor(series)
+    cores = {}
 
     for d in range(start, series.n_days):
         i = d - start
         pool[i] = _stage(d, "point-pool", point_model.forecast_pool,
-                         tensor, d, config.pool_window_lengths, variants)[0].values
+                         tensor, d, config.pool_window_lengths, variants, cores)[0].values
         if d < first:
             continue
 

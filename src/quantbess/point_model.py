@@ -11,11 +11,22 @@ hour on one window with `lstsq` and returns its 14 coefficients; it is the
 reference for `forecast_pool`, which fits all 24 hours of every pool window
 together.  The caller owns the tensor and passes it to each day's
 `forecast_pool`: the backtest's day loop builds it once and drops it when
-the loop returns.  Each day's windows and features are slices of it.  All
-pool windows end the day before the forecast day, so each window is a
-suffix of the longest one's rows.  A stacked QR of [X | y] gives each
-window's R and Q'y for all 24 hours at once (the QR of a window updates the
-R of the next shorter one with the rows it lacks).
+the loop returns.  Each day's windows and features are slices of it.
+
+The R factor of a stacked QR of [X | y] gives a window's R and Q'y for all
+24 hours at once, and stacked factors merge exactly: the R of [A; B] is the
+R of [R_A; B].  Tensor row e holds day e + 7, and day d's window of length
+L holds rows e - L .. e - 1 (clamped at row 0).  The days whose rows share
+t = e - e mod 7 form a week; the week's core of window L is rows
+t + 7 - L .. t - 1, which every day of the week reads, so that each day's
+window holds 7 rows outside it.  The cores of all windows end at row t, so
+they are nested suffixes: one QR chain, shortest first, factors them all
+(each core's QR updates the R of the next shorter one with the rows it
+lacks).  A day then factors only each window's core R stacked on the 7 rows
+of its window outside the core: a head before the core and a tail
+t .. e - 1 after it.  No core reaches row e, so a cached core reads nothing
+a day may not.  A caller that keeps a `cores` dict across the days of one
+tensor runs the chain once a week instead of once a day.
 
 The singular values of R are those of X and set the rank by lstsq's rule,
 s_min > eps * max(m, 14) * s_max for m usable days.  Bounds decide it first:
@@ -24,13 +35,15 @@ s_max lies between ||R||_F / sqrt(14) and ||R||_F, and s_min between
 below the least threshold the bounds allow, and full rank when
 1 / ||R^-1||_F is well above the greatest; only the hours the bounds leave
 open get an SVD.  Full-rank hours are solved from R; rank-deficient ones
-take `calibrate`'s column-proportional ridge.  Hour 24 is always rank
-deficient, since its y_lag1 and y_eod are the same price.
+take `calibrate`'s column-proportional ridge, whose Gram matrix X'X is
+R'R.  Hour 24 is always rank deficient, since its y_lag1 and y_eod are the
+same price.
 
 A caller that reads only some variants names them in `solve`, and gets
-each of them or an error: there are no partial pools.  The QR chain still
-runs over every window, so each solved variant is bitwise the one the full
-pool gives; only the rank test, the solve and the forecasts shrink.
+each of them or an error: there are no partial pools.  The week's chain
+still runs over every usable window, so each solved variant is bitwise the
+one the full pool gives; only the day's QR, the rank test, the solve and the
+forecasts shrink.
 """
 from __future__ import annotations
 
@@ -48,6 +61,9 @@ FEATURE_LAG = 7
 MIN_CALIBRATION_DAYS = 30
 
 N_COEFFICIENTS = 14
+
+#: Days that share one set of QR cores: the period of the weekday dummies.
+WEEK = 7
 
 #: Window lengths for the default forecast-pool committee.
 DEFAULT_POOL_WINDOWS = (56, 84, 112, 182, 364)
@@ -129,7 +145,7 @@ def calibrate(series: MarketSeries, days, h: int) -> np.ndarray:
 
 
 def forecast_pool(tensor: np.ndarray, d: int, window_lengths=DEFAULT_POOL_WINDOWS,
-                  solve=None):
+                  solve=None, cores=None):
     """Point forecasts for day d from the model calibrated on each window length.
 
     `tensor` is the series' `design_tensor`.  `solve` names the window
@@ -142,6 +158,11 @@ def forecast_pool(tensor: np.ndarray, d: int, window_lengths=DEFAULT_POOL_WINDOW
     d - 1.  Each window's forecasts equal day d's regressors times
     `calibrate`'s coefficients up to rounding; see the module docstring for
     how the 24 hourly fits of all windows are solved together.
+
+    `cores` is a dict that the caller keeps across calls on one tensor; it
+    holds the QR cores of the latest week and window set, and a call of
+    another week or window set replaces them.  Without it the call factors
+    its week's cores itself; the forecasts are the same bits either way.
     """
     window_lengths = tuple(window_lengths)
     if not window_lengths:
@@ -158,41 +179,57 @@ def forecast_pool(tensor: np.ndarray, d: int, window_lengths=DEFAULT_POOL_WINDOW
         raise InsufficientDataError(
             f"day {d} is past the series' last day ({tensor.shape[1] + FEATURE_LAG - 1})"
         )
-    first = max(d - max(window_lengths), FEATURE_LAG)
-    Xy = tensor[:, first - FEATURE_LAG : d - FEATURE_LAG]
-    n_rows = Xy.shape[1]
-
-    starts = [max(d - length, FEATURE_LAG) - first for length in window_lengths]
-    solved = [(length, start) for length, start in zip(window_lengths, starts) if length in solve]
-    for length, start in solved:
-        if n_rows - start < MIN_CALIBRATION_DAYS:
+    e = d - FEATURE_LAG
+    t = e - e % WEEK
+    solved = [length for length in window_lengths if length in solve]
+    for length in solved:
+        if min(e, length) < MIN_CALIBRATION_DAYS:
             raise InsufficientDataError(
-                f"window {length}: {n_rows - start} usable days; need >= {MIN_CALIBRATION_DAYS}"
+                f"window {length}: {min(e, length)} usable days; need >= {MIN_CALIBRATION_DAYS}"
             )
-    # the QR chain runs over every usable window, so a solved variant does
-    # not depend on which others are solved
-    factors = _r_factors(Xy, {s for s in starts if n_rows - s >= MIN_CALIBRATION_DAYS})
+    # the week's chain runs over every usable window, so a solved variant
+    # does not depend on which others are solved
+    chained = tuple(sorted({L for L in window_lengths if min(e, L) >= MIN_CALIBRATION_DAYS}))
+    week = None if cores is None else cores.get((t, chained))
+    if week is None:
+        factors = _r_factors(tensor, {_core_start(t, L) for L in chained}, t)
+        week = {L: factors[_core_start(t, L)] for L in chained}
+        if cores is not None:
+            cores.clear()
+            cores[(t, chained)] = week
 
     n = N_COEFFICIENTS
-    R = np.stack([factors[start] for _, start in solved])  # (variants, 24, 15, 15)
-    rows = n_rows - np.array([start for _, start in solved])
+    # each window's core R stacked on the day's head and tail rows
+    R = np.stack([
+        np.linalg.qr(np.concatenate((
+            week[L], tensor[:, max(e - L, 0) : _core_start(t, L)], tensor[:, t:e]
+        ), axis=1), mode="r")
+        for L in solved
+    ])  # (variants, 24, 15, 15)
+    rows = np.minimum(e, solved)
     full = _full_rank(R[..., :n, :n], rows[:, None])
     beta = np.empty(R.shape[:2] + (n,))
     beta[full] = np.linalg.solve(R[full][:, :n, :n], R[full][:, :n, n:])[..., 0]
-    for j, (length, start) in enumerate(solved):
+    for j, length in enumerate(solved):
         deficient = np.flatnonzero(~full[j])
         if deficient.size:
             try:
-                beta[j, deficient] = _ridge(Xy[deficient, start:], deficient + 1)
+                beta[j, deficient] = _ridge(R[j, deficient], deficient + 1)
             except CalibrationError as exc:
                 raise CalibrationError(f"window {length}: {exc}") from exc
     finite = np.isfinite(beta).all(axis=2)
     if not finite.all():
         j, h = np.argwhere(~finite)[0]
-        raise CalibrationError(f"window {solved[j][0]}, hour {h + 1}: non-finite coefficients")
-    x_day = tensor[:, d - FEATURE_LAG, :n]
+        raise CalibrationError(f"window {solved[j]}, hour {h + 1}: non-finite coefficients")
+    x_day = tensor[:, e, :n]
     values = np.einsum("vhk,hk->vh", beta, x_day)
-    return PointForecastSet(day=d, window_lengths=tuple(L for L, _ in solved), values=values), {}
+    return PointForecastSet(day=d, window_lengths=tuple(solved), values=values), {}
+
+
+def _core_start(t: int, length: int) -> int:
+    """First tensor row of the core of window `length` in the week of row t,
+    rows t + 7 - length .. t - 1, clamped at row 0."""
+    return max(t + WEEK - length, 0)
 
 
 def _full_rank(R: np.ndarray, rows) -> np.ndarray:
@@ -235,13 +272,13 @@ def _triangular_inverse(R: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _r_factors(Xy: np.ndarray, starts) -> dict:
-    """R factor of the stacked QR of Xy[:, s:] for each start row s.
+def _r_factors(Xy: np.ndarray, starts, end: int) -> dict:
+    """R factor of the stacked QR of Xy[:, s:end] for each start row s.
 
     The row blocks are nested suffixes, so the factor for each start is the
     QR of the next shorter block's R stacked on the rows that block lacks.
     """
-    factors, R, end = {}, Xy[:, :0], Xy.shape[1]
+    factors, R = {}, Xy[:, :0]
     for s in sorted(starts, reverse=True):
         R = np.linalg.qr(np.concatenate((R, Xy[:, s:end]), axis=1), mode="r")
         factors[s], end = R, s
@@ -252,7 +289,8 @@ def _ridge(Xy: np.ndarray, hours: np.ndarray) -> np.ndarray:
     """`calibrate`'s ridge fallback for a stack of rank-deficient hours.
 
     Xy is (k, rows, 15): the design of each listed hour with its target as
-    the last column.  Returns the (k, 14) coefficients.
+    the last column, or the R factor of its QR, which has the same Gram
+    matrix.  Returns the (k, 14) coefficients.
     """
     n = N_COEFFICIENTS
     G = np.matmul(Xy.transpose(0, 2, 1), Xy)

@@ -38,7 +38,7 @@ from quantbess.bess_trading import (
 )
 from quantbess.errors import BacktestStageError, CalibrationError, ConfigError
 from quantbess.eval_metrics import DEFAULT_ALPHAS, METRICS
-from quantbess.market_data import synth_generate
+from quantbess.market_data import MarketSeries, synth_generate
 from quantbess.point_model import design_tensor, forecast_pool
 from quantbess.prob_models import (
     MEDIAN_INDEX,
@@ -294,6 +294,19 @@ class TestRunSingleModel:
     def test_unknown_model_rejected(self, small_series, small_config):
         with pytest.raises(ConfigError):
             run_single_model(small_series, small_config, "oracle", 0.8)
+
+    def test_doubled_series_doubles_the_cash(self):
+        # the price taker's hours follow the forecasts, which scale exactly
+        series = synth_generate(700, seed=1, regime="spiky")
+        doubled = MarketSeries(prices=2.0 * series.prices, loads=2.0 * series.loads,
+                               start_weekday=series.start_weekday)
+        base = run_single_model(series, BacktestConfig(), "benchmark", 0.8)
+        got = run_single_model(doubled, BacktestConfig(), "benchmark", 0.8)
+        assert len(base.day) == 116
+        for name in LEDGER_COLUMNS:
+            want = getattr(base, name)
+            want = 2.0 * want if name == "cash_flow" else want
+            assert np.array_equal(getattr(got, name), want), name
 
 
 def _full_schedule_single(series, config, model):

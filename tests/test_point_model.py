@@ -11,6 +11,7 @@ from quantbess.point_model import (
     DEFAULT_POOL_WINDOWS,
     FEATURE_LAG,
     N_COEFFICIENTS,
+    WEEK,
     _full_rank,
     calibrate,
     design_tensor,
@@ -312,8 +313,8 @@ class TestForecastPoolMatchesPerHourFits:
             calibrate(series, np.arange(d - short, d), 1)
 
     def test_unsolved_short_window_skipped(self):
-        # the short window stays out of the QR chain: the pool is bitwise the
-        # one without it
+        # the short window stays out of the week's QR chain: the pool is
+        # bitwise the one without it
         series = synth_generate(60, seed=2)
         pool, _ = forecast_pool(design_tensor(series), 45, (45, 25), solve=(45,))
         alone, _ = forecast_pool(design_tensor(series), 45, (45,))
@@ -353,6 +354,78 @@ class TestPartialPool:
     def test_solve_outside_window_lengths(self, solve):
         with pytest.raises(ValueError, match="solve"):
             forecast_pool(design_tensor(synth_generate(400, seed=1)), 380, (56, 364), solve)
+
+
+def _pool_days(tensor, days, window_lengths, solve=None, cores=None):
+    """forecast_pool's values on each of `days` in turn, through `cores`."""
+    return [forecast_pool(tensor, d, window_lengths, solve, cores)[0].values for d in days]
+
+
+class TestWeekCores:
+    """A kept `cores` dict holds the week's QR cores; it moves no bit."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        regime=st.sampled_from(["low", "high", "spiky"]),
+        seed=st.integers(0, 10_000),
+        offset=st.integers(0, 2 * WEEK - 1),
+        data=st.data(),
+    )
+    def test_cores_change_no_bit(self, regime, seed, offset, data):
+        window_lengths = data.draw(st.sampled_from([DEFAULT_POOL_WINDOWS, (30, 56)]))
+        solve = tuple(data.draw(st.sets(st.sampled_from(window_lengths), min_size=1)))
+        other = window_lengths[1:]  # another chain, alternated through one dict
+        tensor = design_tensor(synth_generate(400, seed=seed, regime=regime))
+        # 15 consecutive days cross two week boundaries; with an offset below
+        # 7 the first days cut the longest window at the lag
+        first = max(window_lengths) + offset
+        days = range(first, first + 2 * WEEK + 1)
+        kept, shared = {}, {}
+        for d in days:
+            fresh = forecast_pool(tensor, d, window_lengths, solve)[0].values
+            assert np.array_equal(forecast_pool(tensor, d, window_lengths, solve, kept)[0].values,
+                                  fresh), d
+            assert np.array_equal(forecast_pool(tensor, d, window_lengths, solve, shared)[0].values,
+                                  fresh), d
+            assert np.array_equal(forecast_pool(tensor, d, other, cores=shared)[0].values,
+                                  forecast_pool(tensor, d, other)[0].values), d
+        assert len(kept) == 1
+
+    @pytest.mark.parametrize("c", range(378, 378 + WEEK))
+    def test_no_look_ahead_through_a_warm_dict(self, c):
+        # prices move from day c on and loads after it; day c's forecasts
+        # read day c's loads alone, for every position of c in its week
+        series = synth_generate(400, seed=8, regime="spiky")
+        prices, loads = series.prices.copy(), series.loads.copy()
+        prices[c:] += np.linspace(5.0, 60.0, 24)
+        loads[c + 1 :] *= 1.25
+        moved = MarketSeries(prices=prices, loads=loads, start_weekday=series.start_weekday)
+        days = range(c - 2 * WEEK, c + 2)
+        base = _pool_days(design_tensor(series), days, DEFAULT_POOL_WINDOWS, cores={})
+        other = _pool_days(design_tensor(moved), days, DEFAULT_POOL_WINDOWS, cores={})
+        for d, want, got in zip(days, base, other):
+            if d <= c:
+                assert np.array_equal(got, want), d
+            else:
+                assert not np.array_equal(got, want), d
+
+
+class TestScaleEquivariance:
+    """Doubling prices and loads doubles every forecast exactly: the fit is
+    column-scale equivariant, and scaling by two is exact in binary."""
+
+    @pytest.mark.parametrize("regime", ["low", "spiky"])
+    def test_pool_doubles(self, regime):
+        series = synth_generate(400, seed=1, regime=regime)
+        doubled = MarketSeries(prices=2.0 * series.prices, loads=2.0 * series.loads,
+                               start_weekday=series.start_weekday)
+        tensor, doubled = design_tensor(series), design_tensor(doubled)
+        days = range(364, 364 + 2 * WEEK)
+        want = _pool_days(tensor, days, DEFAULT_POOL_WINDOWS)
+        for cores in (None, {}):
+            for d, base, got in zip(days, want, _pool_days(doubled, days, DEFAULT_POOL_WINDOWS,
+                                                          cores=cores)):
+                assert np.array_equal(got, 2.0 * base), d
 
 
 def _svd_rule(R, rows):
